@@ -10,6 +10,7 @@ any nesting depth — against the committed baseline.
 
 import json
 
+import bench_io
 import check_regression
 from bench_io import deep_merge, merge_bench_entries
 
@@ -72,6 +73,16 @@ class TestMergeBenchEntries:
         payload = json.loads(path.read_text())
         assert payload["workload"]["n_events"] == 44
         assert payload["megabatch"]["workload"]["distinct_signatures"] == 148
+
+    def test_committed_file_is_written_only_when_recording(self, tmp_path, monkeypatch):
+        path = tmp_path / "BENCH.json"
+        monkeypatch.setattr(bench_io, "BENCH_PATH", path)
+        monkeypatch.delenv(bench_io.RECORD_ENV_VAR, raising=False)
+        merge_bench_entries({"a": 1})
+        assert not path.exists()
+        monkeypatch.setenv(bench_io.RECORD_ENV_VAR, "1")
+        merge_bench_entries({"a": 1})
+        assert json.loads(path.read_text()) == {"a": 1}
 
     def test_corrupt_file_is_replaced(self, tmp_path):
         path = tmp_path / "BENCH.json"

@@ -7,15 +7,16 @@ three ticks, churning every tick).  Two measurements:
 
 * ``solve`` — the solve stage cold, the path mega-batching rewrites: a
   fresh engine per timed round (signature churn means per-signature kernels
-  are *not* amortisable across a realistic fleet round), with slice
-  preparation hoisted out of the timed region since both modes share it
-  byte-for-byte.  ``fragmented`` compiles + solves one per-signature batch
-  per group; ``megabatch`` compiles one canonical full-width structure and
-  solves the whole round in one kernel call per tick.  Acceptance: >= 3x.
+  are *not* amortisable across a realistic fleet round) driven through the
+  public ``process_batch`` from fresh host states, so the vectorized
+  prepare/finalize both modes share rides inside the timed region.
+  ``fragmented`` compiles + solves one per-signature batch per group;
+  ``megabatch`` compiles one canonical full-width structure and solves the
+  whole round in one kernel call per tick.  Acceptance: >= 3x.
 * ``fleet`` — the same fleet end-to-end through ``process_batch`` with warm
-  engines and default EP settings; the shared per-record prepare/finalize
-  Python bounds this ratio far below the solve-stage win (Amdahl), so the
-  acceptance bar is an honest >= 1.2x.
+  engines, default EP settings and each host's temporal chain carried
+  across ticks; the shared prepare/finalize work bounds this ratio below
+  the solve-stage win (Amdahl), so the acceptance bar is an honest >= 1.2x.
 
 Both modes must agree **exactly** (padded lanes are bit-exact no-ops) —
 the differential suite in ``tests/test_megabatch.py`` pins that property
@@ -79,66 +80,30 @@ def _hetero_fleet():
     return catalog, union, hosts
 
 
-def _prepare_rounds(catalog, union, hosts):
-    """Prepared slices grouped by (tick, signature) — both modes' shared input."""
-    scratch = BayesPerfEngine(
-        catalog, union, ep_damping=EP_DAMPING, ep_max_iterations=EP_ITERATIONS
-    )
-    prepared = []
-    rounds = []  # per tick: {signature: [prepared indices]}
-    for tick in range(TICKS):
-        groups = {}
-        for _, records in hosts:
-            scratch.reset()
-            slice_ = scratch._prepare_slice(records[tick])
-            groups.setdefault(slice_.measured, []).append(len(prepared))
-            prepared.append(slice_)
-        rounds.append(groups)
-    return prepared, rounds
+def _fresh_rounds(hosts):
+    """Per tick, every host's record from a fresh state — both modes' input."""
+    return [[(None, records[tick]) for _, records in hosts] for tick in range(TICKS)]
 
 
-def _solve_fragmented(catalog, union, prepared, rounds):
-    """Cold per-signature solve: one kernel compile + batch per group."""
-    engine = BayesPerfEngine(
-        catalog, union, ep_damping=EP_DAMPING, ep_max_iterations=EP_ITERATIONS
-    )
-    start = time.perf_counter()
-    results = []
-    for groups in rounds:
-        for signature, indices in groups.items():
-            kernel, binder = engine._compiled_kernel(prepared[indices[0]])
-            solved = engine._solve_group_arrays(
-                [prepared[i] for i in indices], kernel, binder
-            )
-            results.extend(
-                (signature, index, solved[slot][0])
-                for slot, index in enumerate(indices)
-            )
-    return time.perf_counter() - start, results
+def _solve_cold(catalog, union, rounds, megabatch):
+    """One cold engine solving every round through ``process_batch``.
 
-
-def _solve_megabatch(catalog, union, prepared, rounds):
-    """Cold mega-batched solve: one canonical structure, one call per tick."""
+    ``megabatch=False`` compiles + solves one per-signature batch per
+    group (fragmented); ``megabatch=True`` compiles one canonical structure
+    and solves each round in one kernel call.
+    """
     engine = BayesPerfEngine(
         catalog,
         union,
         ep_damping=EP_DAMPING,
         ep_max_iterations=EP_ITERATIONS,
-        megabatch=True,
+        megabatch=megabatch,
     )
     start = time.perf_counter()
-    results = []
-    for groups in rounds:
-        merged = [
-            (signature, [prepared[i] for i in indices])
-            for signature, indices in groups.items()
-        ]
-        solved = engine._solve_megabatch(merged)
-        position = 0
-        for signature, indices in groups.items():
-            for index in indices:
-                results.append((signature, index, solved[position][0]))
-                position += 1
+    results = [
+        [report.means() for report, _ in engine.process_batch(items)]
+        for items in rounds
+    ]
     return time.perf_counter() - start, results
 
 
@@ -158,9 +123,9 @@ def _run_fleet(engine, hosts):
 @pytest.mark.benchmark(group="megabatch")
 def test_bench_megabatch_solve_stage(benchmark):
     catalog, union, hosts = _hetero_fleet()
-    prepared, rounds = _prepare_rounds(catalog, union, hosts)
-    signatures = {signature for groups in rounds for signature in groups}
-    total_slices = len(prepared)
+    rounds = _fresh_rounds(hosts)
+    signatures = {tuple(record.samples) for items in rounds for _, record in items}
+    total_slices = sum(len(items) for items in rounds)
     timings = {"fragmented": [], "megabatch": []}
     results = {}
 
@@ -169,21 +134,19 @@ def test_bench_megabatch_solve_stage(benchmark):
 
     def compare():
         for _ in range(ROUNDS):
-            for mode, solver in (
-                ("fragmented", _solve_fragmented),
-                ("megabatch", _solve_megabatch),
-            ):
-                elapsed, results[mode] = solver(catalog, union, prepared, rounds)
+            for mode in ("fragmented", "megabatch"):
+                elapsed, results[mode] = _solve_cold(
+                    catalog, union, rounds, megabatch=mode == "megabatch"
+                )
                 timings[mode].append(elapsed)
         while (
             _best("fragmented") / _best("megabatch") <= 3.0
             and len(timings["megabatch"]) < MAX_ROUNDS
         ):
-            for mode, solver in (
-                ("fragmented", _solve_fragmented),
-                ("megabatch", _solve_megabatch),
-            ):
-                elapsed, results[mode] = solver(catalog, union, prepared, rounds)
+            for mode in ("fragmented", "megabatch"):
+                elapsed, results[mode] = _solve_cold(
+                    catalog, union, rounds, megabatch=mode == "megabatch"
+                )
                 timings[mode].append(elapsed)
         return timings
 
@@ -191,12 +154,10 @@ def test_bench_megabatch_solve_stage(benchmark):
 
     # Bit-identity: the mega-batched posterior means equal the fragmented
     # per-signature ones exactly, record for record.
-    assert sorted(r[:2] for r in results["fragmented"]) == sorted(
-        r[:2] for r in results["megabatch"]
+    assert len(results["fragmented"]) == len(results["megabatch"]) == TICKS
+    assert results["fragmented"] == results["megabatch"], (
+        "mega-batched solve drifted from per-signature solve"
     )
-    frag = {r[:2]: r[2] for r in results["fragmented"]}
-    mega = {r[:2]: r[2] for r in results["megabatch"]}
-    assert frag == mega, "mega-batched solve drifted from per-signature solve"
 
     throughput = {mode: total_slices / _best(mode) for mode in timings}
     speedup = throughput["megabatch"] / throughput["fragmented"]

@@ -16,12 +16,34 @@ are computed analytically by default or by MCMC (the accelerator's workload).
 All inference happens in a per-event normalised space so that counts spanning
 many orders of magnitude stay well conditioned.
 
-The hot path is **array-native end to end**: per-slice observation summaries
-are plain ndarrays (no Student-t objects), site blocks come out of the
-signature-cached :class:`~repro.fg.compiled.CompiledBinder` (no factor
-objects), and batches solve through
-:meth:`~repro.fg.compiled.CompiledEPKernel.run_stacked` or the batched MCMC
-estimator.  Every fast path keeps a reference twin — the object-walking
+The hot path is **array-native end to end**.  :meth:`~BayesPerfEngine.process_batch`
+advances every record's temporal state in one pass over ``(B, n)`` arrays
+(one row per record, ``n`` engine variables in
+:attr:`~BayesPerfEngine.events` order): observation summaries,
+intensity-ratio median, scale refresh, observation projection, temporal
+prior.  Records then split by measured-event signature; each group binds
+through the signature-cached :class:`~repro.fg.compiled.CompiledBinder`,
+solves in one kernel or batched-sampler call and is finalized at once.
+Successor :class:`EngineState` objects hold rows of those arrays; each
+:class:`~repro.core.posterior.PosteriorReport` builds its ``EventEstimate``
+objects only when read.
+
+The per-event dict form of :class:`EngineState` (``None`` = no estimate
+yet) exists only at the boundary: :meth:`~BayesPerfEngine.snapshot`,
+:meth:`~BayesPerfEngine.restore`, hand-built states and the WAL codec
+(:func:`repro.fleet.wal.engine_state_to_json`).  In the arrays an unknown
+prior is ``NaN``, which fails ``prior > 0`` exactly as ``None`` did; an
+array-backed state only comes out of a solve, where every event has an
+estimate, so ``None`` and a ``NaN`` posterior stay distinct.
+
+Two traps guard bit-identity with the scalar arithmetic the golden traces
+pin: ``arr ** 2`` squares while Python's ``x ** 2`` calls libm ``pow`` (they
+differ in the last bit on some inputs), so the prior variance uses
+``np.float_power(x, 2.0)``; and ``np.maximum(-0.0, 0.0)`` is ``+0.0``, so
+clamps written as Python ``max`` use :func:`_pymax`.  Row-wise medians
+return exactly what ``np.median`` does (:func:`_row_median`).
+
+Every fast path keeps a reference twin — the object-walking
 :class:`~repro.fg.ep.ExpectationPropagation` loop for the analytic kernel,
 :class:`~repro.fg.mcmc.ReferenceMCMC` for the batched sampler — selectable
 with ``use_compiled_kernel=False`` so differential tests can pin the pairs
@@ -30,9 +52,12 @@ together.
 
 from __future__ import annotations
 
+import copy
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,7 +91,7 @@ from repro.fg.graph import FactorGraph
 from repro.fg.mcmc import ChainTrace, StudentTTail
 from repro.fg.registry import estimator_names, get_estimator
 from repro.invariants.library import InvariantLibrary, standard_invariants
-from repro.core.posterior import EventEstimate, PosteriorReport
+from repro.core.posterior import PosteriorReport
 from repro.pmu.sampling import SampledTrace, SamplingRecord
 from repro.pmu.traces import EstimateTrace
 
@@ -77,8 +102,39 @@ from repro.pmu.traces import EstimateTrace
 #: the source of truth.
 KNOWN_ESTIMATORS = estimator_names()
 
+#: One group's solved posterior: ``(G, n)`` means and variances in
+#: normalised space, ``(G,)`` EP iterations and convergence flags.
+_Solved = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-@dataclass
+
+def _pymax(a, b):
+    """Element-wise Python ``max(a, b)``: *b* only where ``b > a``.
+
+    Unlike ``np.maximum`` this keeps a ``NaN`` or ``-0.0`` in *a*, as
+    Python's ``max`` does; the golden traces pin that arithmetic.
+    """
+    return np.where(b > a, b, a)
+
+
+def _row_median(values: np.ndarray, valid: np.ndarray, empty: float) -> np.ndarray:
+    """``np.median`` of each row's *valid* entries; *empty* for rows with none.
+
+    The middle element for an odd count, ``(a + b) / 2`` of the two middle
+    elements for an even one, and ``NaN`` when a valid entry is ``NaN`` —
+    exactly what ``np.median`` returns for the row's valid entries.
+    """
+    if values.shape[1] == 0:
+        return np.full(values.shape[0], float(empty))
+    count = valid.sum(axis=1)
+    ordered = np.sort(np.where(valid, values, np.inf), axis=1)
+    rows = np.arange(values.shape[0])
+    upper = ordered[rows, np.minimum(count // 2, values.shape[1] - 1)]
+    lower = ordered[rows, np.maximum((count - 1) // 2, 0)]
+    median = np.where(count % 2 == 1, upper, (lower + upper) / 2)
+    median = np.where(np.isnan(np.where(valid, values, 0.0)).any(axis=1), np.nan, median)
+    return np.where(count > 0, median, empty)
+
+
 class EngineState:
     """Snapshot of one monitoring run's temporal state.
 
@@ -86,68 +142,89 @@ class EngineState:
     previous posterior means, the per-event normalisation scales, the tick
     counter and — for MCMC moment estimation — the RNG stream).  Capturing
     that state lets one engine instance serve many interleaved monitoring
-    runs — the fleet worker pool checkpoints a host's state after each batch
-    and restores it before the next, instead of constructing a fresh engine
-    per host.
+    runs — the fleet worker pool keeps each host's state between batches
+    instead of constructing a fresh engine per host.
+
+    The constructor builds the dict form (``None`` = no estimate yet).
+    States from :meth:`BayesPerfEngine.process_batch` hold array rows in
+    engine variable order; their ``prior_mean`` / ``scale`` are read-only
+    mappings built on first access.  Both forms are accepted everywhere.
     """
 
-    prior_mean: Dict[str, Optional[float]] = field(default_factory=dict)
-    scale: Dict[str, float] = field(default_factory=dict)
-    tick: int = 0
-    rng_state: Optional[Dict] = None
+    def __init__(self, prior_mean=None, scale=None, tick: int = 0, rng_state=None):
+        self.prior_mean = {} if prior_mean is None else prior_mean
+        self.scale = {} if scale is None else scale
+        self.tick = tick
+        self.rng_state: Optional[Dict] = rng_state
+        #: ``(events, prior row, scale row)`` of an array-backed state.
+        self._rows = None
 
+    @classmethod
+    def _from_rows(cls, events, prior, scale, tick, rng_state) -> "EngineState":
+        state = cls.__new__(cls)
+        state.tick, state.rng_state, state._rows = tick, rng_state, (events, prior, scale)
+        return state
 
-@dataclass(frozen=True)
-class ObservationSummaries:
-    """Array-native per-slice observation summaries (§4.2).
+    @cached_property
+    def prior_mean(self) -> Mapping[str, Optional[float]]:
+        return MappingProxyType(dict(zip(self._rows[0], self._rows[1].tolist())))
 
-    One row per measured event, in record order: the quantum total, its
-    Student-t scale and the degrees of freedom.  Replaces the historical
-    ``Dict[str, StudentT]`` so batch preparation never materialises
-    distribution objects; the ``events`` tuple doubles as the slice's
-    graph-structure signature.
-    """
+    @cached_property
+    def scale(self) -> Mapping[str, float]:
+        return MappingProxyType(dict(zip(self._rows[0], self._rows[2].tolist())))
 
-    events: Tuple[str, ...]
-    loc: np.ndarray
-    scale: np.ndarray
-    df: np.ndarray
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EngineState):
+            return NotImplemented
+        return (self.tick, self.rng_state, dict(self.prior_mean), dict(self.scale)) == (
+            other.tick, other.rng_state, dict(other.prior_mean), dict(other.scale)
+        )
 
-    def __len__(self) -> int:
-        return len(self.events)
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass
-class _PreparedSlice:
-    """One record's slice-local model, built before (batched) inference.
+class _PreparedGroup:
+    """One signature group of a batch, prepared for (batched) inference.
 
-    Captures everything :meth:`BayesPerfEngine.process_record` derives from
-    the engine's temporal state *before* running inference, as plain
-    ndarrays, so a batch of slices from different monitoring runs can be
-    prepared sequentially and then solved in one vectorized kernel call.
+    Arrays are ``(G, E)`` over the measured events or ``(G, n)`` over every
+    engine variable, one row per record.
     """
 
-    record: SamplingRecord
-    #: Measured events, in record order.  Doubles as the graph-structure
-    #: signature: which events were measured fully determines the slice's
-    #: factor-graph shape (the constraint topology is fixed per engine).
-    measured: Tuple[str, ...]
-    summaries: ObservationSummaries
-    #: Normalised projected observation moments, ``(E,)`` each.
+    #: Measured events in record order (the graph structure) and their slots.
+    signature: Tuple[str, ...]
+    slots: np.ndarray
+    #: Positions of the group's records in the batch.
+    indices: List[int]
+    records: List[SamplingRecord]
+    #: Observation summaries (§4.2): quantum totals, Student-t scales, dfs.
+    loc: np.ndarray
+    sigma: np.ndarray
+    df: np.ndarray
+    #: Normalised projected observation moments.
     obs_mean: np.ndarray
     obs_scale: np.ndarray
     obs_variance: np.ndarray
-    #: Per-event normalisation scales over every engine variable, ``(n,)``.
-    scales_vec: np.ndarray
-    #: Temporal prior in normalised space, ``(n,)`` each.
-    prior_mean_vec: np.ndarray
-    prior_var_vec: np.ndarray
-    scale: Dict[str, float]
-    tick: int
-    rng_state: Optional[Dict]
-    #: Per-record seed for the batched MCMC estimator's chains.
-    mcmc_seed: int = 0
-    state: Optional[EngineState] = None
+    #: Refreshed normalisation scales and the normalised temporal prior.
+    scales: np.ndarray
+    prior_mean: np.ndarray
+    prior_var: np.ndarray
+    #: Per record: input tick, RNG state after its seed draw, MCMC seed.
+    ticks: List[int]
+    rng_states: List[Optional[Dict]]
+    mcmc_seeds: List[int]
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+
+def _prior_information(prior_mean: np.ndarray, prior_var: np.ndarray):
+    """Diagonal ``(G, n, n)`` prior precision and ``(G, n)`` shift."""
+    batch, n = prior_mean.shape
+    precision = np.zeros((batch, n, n))
+    diagonal = np.arange(n)
+    precision[:, diagonal, diagonal] = 1.0 / prior_var
+    return precision, prior_mean / prior_var
 
 
 class BayesPerfEngine:
@@ -286,6 +363,8 @@ class BayesPerfEngine:
             for event in relation.events:
                 if event not in self.monitored_events and event not in latent:
                     latent.append(event)
+        #: Every engine variable: the monitored events first, then latents.
+        #: The column order of all ``(G, n)`` state arrays.
         self.events: Tuple[str, ...] = tuple(self.monitored_events) + tuple(latent)
         self.observation_model = observation_model
         self.moment_estimator = moment_estimator
@@ -306,16 +385,24 @@ class BayesPerfEngine:
         self.kernel_exec = kernel_exec if kernel_exec is not None else kernel_exec_from_env()
         self._kernel_pool = None
         self._seed = seed
+        #: Scratch generator for the per-record MCMC seed draws; the stream
+        #: itself lives in each run's ``EngineState.rng_state``.
         self._rng = np.random.default_rng(seed)
+        self._fresh_rng_state = self._rng.bit_generator.state
         self.name = "bayesperf"
 
         self._relation_groups = self._group_relations()
         self._event_slot: Dict[str, int] = {e: i for i, e in enumerate(self.events)}
-        #: Compiled kernels per measured-event signature (``None`` marks a
-        #: signature that failed to compile and should use reference EP).
-        self._kernel_cache: Dict[Tuple[str, ...], Optional[CompiledEPKernel]] = {}
-        #: Array-native binders, cached alongside the kernels.
-        self._binder_cache: Dict[Tuple[str, ...], CompiledBinder] = {}
+        n = len(self.events)
+        #: A fresh run's rows: no estimates yet, unit scales.
+        self._fresh_rows = (np.full(n, np.nan), np.ones(n))
+        #: Record event order -> (measured-event signature, its global slots).
+        self._signatures: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], np.ndarray]] = {}
+        #: Compiled kernel + binder per measured-event signature (``None``
+        #: marks a signature that failed to compile and uses reference EP).
+        self._kernel_cache: Dict[
+            Tuple[str, ...], Optional[Tuple[CompiledEPKernel, CompiledBinder]]
+        ] = {}
         #: Canonical full-width kernel + binder for the mega-batch path
         #: (compiled lazily; ``False`` = not built yet, ``None`` = the
         #: canonical structure does not compile).
@@ -327,22 +414,16 @@ class BayesPerfEngine:
     def reset(self) -> None:
         """Forget all temporal state (start of a new monitoring run).
 
-        The RNG is re-seeded too, so two runs over the same records produce
-        identical results even with an MCMC moment estimator.
+        The RNG stream restarts from the seed too, so two runs over the same
+        records produce identical results even with an MCMC moment estimator.
         """
-        self._prior_mean: Dict[str, Optional[float]] = {event: None for event in self.events}
-        self._scale: Dict[str, float] = {event: 1.0 for event in self.events}
-        self._tick = 0
-        self._rng = np.random.default_rng(self._seed)
+        #: The current run's state (``None`` = fresh), advanced by
+        #: :meth:`process_record`.
+        self._state: Optional[EngineState] = None
 
     def snapshot(self) -> EngineState:
-        """Capture the temporal state of the current monitoring run."""
-        return EngineState(
-            prior_mean=dict(self._prior_mean),
-            scale=dict(self._scale),
-            tick=self._tick,
-            rng_state=self._rng.bit_generator.state,
-        )
+        """Capture the temporal state of the current monitoring run (dict form)."""
+        return self._dict_state(self._state)
 
     def restore(self, state: EngineState) -> None:
         """Resume a monitoring run from a previously captured snapshot.
@@ -350,15 +431,43 @@ class BayesPerfEngine:
         Unknown events in the snapshot are rejected: a snapshot can only be
         restored into an engine built for the same (catalog, event-set) key.
         """
-        unknown = [event for event in state.prior_mean if event not in self._prior_mean]
+        self._state_rows(state)
+        # Dict states are copied: later edits to the caller's dicts must not
+        # leak in.  Array-backed states are read-only and own their RNG dict.
+        self._state = state if state._rows is not None else self._dict_state(state)
+
+    def _dict_state(self, state: Optional[EngineState]) -> EngineState:
+        """A dict-form copy of *state* over every engine event (``None`` = fresh)."""
+        prior_mean, scale = dict.fromkeys(self.events), dict.fromkeys(self.events, 1.0)
+        tick, rng_state = 0, None
+        if state is not None:
+            prior_mean.update(state.prior_mean)
+            scale.update(state.scale)
+            tick, rng_state = state.tick, state.rng_state
+        if rng_state is None:
+            rng_state = self._fresh_rng_state
+        return EngineState(prior_mean, scale, tick, copy.deepcopy(rng_state))
+
+    def _state_rows(self, state: Optional[EngineState]) -> Tuple[np.ndarray, np.ndarray]:
+        """One run's ``(n,)`` prior-mean and scale rows (unknown prior = NaN)."""
+        if state is None:
+            return self._fresh_rows
+        rows = state._rows
+        if rows is not None and (rows[0] is self.events or rows[0] == self.events):
+            return rows[1], rows[2]
+        prior_mean = state.prior_mean
+        unknown = [event for event in prior_mean if event not in self._event_slot]
         if unknown:
             raise ValueError(f"snapshot mentions events unknown to this engine: {unknown}")
-        self.reset()
-        self._prior_mean.update(state.prior_mean)
-        self._scale.update(state.scale)
-        self._tick = state.tick
-        if state.rng_state is not None:
-            self._rng.bit_generator.state = state.rng_state
+        prior, scale = self._fresh_rows[0].copy(), self._fresh_rows[1].copy()
+        for event, value in prior_mean.items():
+            if value is not None:
+                prior[self._event_slot[event]] = value
+        for event, value in state.scale.items():
+            slot = self._event_slot.get(event)
+            if slot is not None:
+                scale[slot] = value
+        return prior, scale
 
     # -- construction helpers -------------------------------------------------
 
@@ -389,129 +498,214 @@ class BayesPerfEngine:
             groups.setdefault(find(index), []).append(index)
         return tuple(tuple(members) for members in groups.values())
 
-    def _observation_summaries(self, record: SamplingRecord) -> ObservationSummaries:
-        """Batched ndarray summaries of one slice's sub-samples (§4.2)."""
-        events: List[str] = []
-        arrays: List[np.ndarray] = []
-        for event, samples in record.samples.items():
-            if event in self._event_slot:
-                array = np.asarray(samples, dtype=float).reshape(-1)
-                if array.size == 0:
+    def _signature(self, record: SamplingRecord) -> Tuple[Tuple[str, ...], np.ndarray]:
+        """The record's measured engine events (record order) and their slots."""
+        order = tuple(record.samples)
+        try:
+            return self._signatures[order]
+        except KeyError:
+            signature = tuple(event for event in order if event in self._event_slot)
+            slots = np.array([self._event_slot[e] for e in signature], dtype=np.intp)
+            self._signatures[order] = (signature, slots)
+            return signature, slots
+
+    def _sample_moments(self, matrix: np.ndarray):
+        """Totals, Student-t scales and dfs over the last axis of *matrix*."""
+        n = matrix.shape[-1]
+        totals = matrix.sum(axis=-1)
+        if n >= 2:
+            # The quantum total is the sum of the sub-samples; its
+            # uncertainty follows from the sub-sample scatter (§4.2).
+            stds = matrix.std(axis=-1, ddof=1) * math.sqrt(n)
+        else:
+            stds = np.abs(totals) * 0.05
+        scales = np.maximum(
+            np.maximum(stds / math.sqrt(n), np.abs(totals) * self.min_relative_sigma),
+            1e-9,
+        )
+        return totals, scales, np.full(totals.shape, float(max(n - 1, 1)))
+
+    def _summaries(
+        self,
+        records: Sequence[SamplingRecord],
+        signatures: Sequence[Tuple[Tuple[str, ...], np.ndarray]],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(B, n)`` totals, scales and dfs of every record's measured events (§4.2).
+
+        Unmeasured entries are zero.  Each (record, event) pair's sub-samples
+        are one row of a ``(K, m)`` matrix reduced in one pass.
+        """
+        samples = [
+            record.samples[event]
+            for record, (signature, _) in zip(records, signatures)
+            for event in signature
+        ]
+
+        def pairs():
+            """``(row, event)`` of each sample, for the slow paths below."""
+            return [(row, event) for row, (sig, _) in enumerate(signatures) for event in sig]
+
+        try:
+            matrix = np.array(samples, dtype=float)
+        except ValueError:  # ragged sub-sample counts
+            matrix = None
+        if matrix is not None and matrix.ndim == 2 and matrix.shape[1] > 0:
+            # Uniform sub-sample counts (the schedule's normal shape).
+            totals, scales, dfs = self._sample_moments(matrix)
+        else:
+            # Ragged (or scalar) samples: per-pair passes, same arithmetic.
+            totals, scales, dfs = (np.empty(len(samples)) for _ in range(3))
+            for k, ((row, event), values) in enumerate(zip(pairs(), samples)):
+                values = np.asarray(values, dtype=float).reshape(1, -1)
+                if values.size == 0:
                     # A measured event with zero sub-samples is malformed
                     # input (e.g. a truncated trace); fail loudly here
                     # rather than let NaNs poison the temporal chain.
                     raise ValueError(
-                        f"record tick {record.tick} has no samples for "
+                        f"record tick {records[row].tick} has no samples for "
                         f"measured event {event!r}"
                     )
-                events.append(event)
-                arrays.append(array)
-        if not events:
-            empty = np.empty(0)
-            return ObservationSummaries((), empty, empty.copy(), empty.copy())
-        lengths = {array.shape[0] for array in arrays}
-        if len(lengths) == 1:
-            # Uniform sub-sample counts (the schedule's normal shape): one
-            # vectorized pass over the (E, n) sample matrix.
-            n = lengths.pop()
-            matrix = np.stack(arrays)
-            totals = matrix.sum(axis=1)
-            if n >= 2:
-                # The quantum total is the sum of the sub-samples; its
-                # uncertainty follows from the sub-sample scatter (§4.2).
-                stds = matrix.std(axis=1, ddof=1) * math.sqrt(n)
-            else:
-                stds = np.abs(totals) * 0.05
-            scales = np.maximum(
-                np.maximum(stds / math.sqrt(n), np.abs(totals) * self.min_relative_sigma),
-                1e-9,
-            )
-            dfs = np.full(len(events), float(max(n - 1, 1)))
-        else:
-            # Ragged sub-sample counts: per-event fallback, same arithmetic.
-            totals = np.empty(len(events))
-            scales = np.empty(len(events))
-            dfs = np.empty(len(events))
-            for i, samples in enumerate(arrays):
-                count = samples.shape[0]
-                total = float(np.sum(samples))
-                if count >= 2:
-                    std = float(np.std(samples, ddof=1)) * math.sqrt(count)
-                else:
-                    std = abs(total) * 0.05
-                totals[i] = total
-                scales[i] = max(
-                    std / math.sqrt(count), abs(total) * self.min_relative_sigma, 1e-9
-                )
-                dfs[i] = float(max(count - 1, 1))
-        if record.mux_fraction:
+                totals[k], scales[k], dfs[k] = (m[0] for m in self._sample_moments(values))
+        if any(record.mux_fraction for record in records):
             # Real traces carry perf's t_running/t_enabled bookkeeping: an
             # event that counted only a fraction f of the quantum reports a
             # linearly-scaled total whose sampling noise grows like
             # 1/sqrt(f), so its observation scale widens accordingly.  The
             # simulator leaves mux_fraction empty — synthetic streams take
             # this branch never and keep bit-identical scales.
-            for i, event in enumerate(events):
-                fraction = record.mux_fraction.get(event)
+            for k, (row, event) in enumerate(pairs()):
+                fraction = records[row].mux_fraction.get(event)
                 if fraction is not None and 0.0 < fraction < 1.0:
-                    scales[i] /= math.sqrt(fraction)
-        return ObservationSummaries(tuple(events), totals, scales, dfs)
+                    scales[k] /= math.sqrt(fraction)
+        rows = np.repeat(np.arange(len(records)), [len(sig) for sig, _ in signatures])
+        columns = np.concatenate([slots for _, slots in signatures])
+        out = []
+        for values in (totals, scales, dfs):
+            full = np.zeros((len(records), len(self.events)))
+            full[rows, columns] = values
+            out.append(full)
+        return tuple(out)
 
-    def _ensure_scales(self, summaries: ObservationSummaries) -> None:
-        """Initialise or refresh the per-event normalisation scales.
+    def _prepare(
+        self, items: Sequence[Tuple[Optional[EngineState], SamplingRecord]]
+    ) -> List[_PreparedGroup]:
+        """Advance every item's temporal state at once, then split into groups.
 
-        Observed events are always rescaled to their current measured
-        magnitude so that a previous bad estimate can never make a fresh
-        observation numerically irrelevant.
+        Row for row this is the per-slice chain of §3 over ``(B, n)``
+        arrays: the intensity ratio (the median of measured-over-previous,
+        clipped to ``[0.2, 5]``) advances every prior; observed events are
+        rescaled to their measured magnitude, others keep their previous
+        estimate or take the slice's median magnitude; observations and the
+        prior are then projected into the refreshed normalised space.
+        Records split into one group per measured-event signature (one per
+        record for the reference twins, which solve in input order).
         """
-        magnitudes = np.abs(summaries.loc)
-        positive = magnitudes[magnitudes > 0]
-        fallback = float(np.median(positive)) if positive.size else 1.0
-        observed = dict(zip(summaries.events, magnitudes))
-        for event in self.events:
-            prior = self._prior_mean[event]
-            magnitude = observed.get(event, 0.0)
-            if magnitude > 0:
-                self._scale[event] = max(float(magnitude), 1e-9)
-            elif prior is not None and prior > 0:
-                self._scale[event] = prior
-            elif self._scale[event] <= 0 or self._scale[event] == 1.0:
-                self._scale[event] = max(fallback, 1e-9)
+        records = [record for _, record in items]
+        signatures = [self._signature(record) for record in records]
+        rows = [self._state_rows(state) for state, _ in items]
+        prior = np.stack([row[0] for row in rows])
+        scale = np.stack([row[1] for row in rows])
+        loc, sigma, df = self._summaries(records, signatures)
+        magnitude = np.abs(loc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.use_intensity_chain:
+                # Events measured now that also have a previous estimate
+                # vote on how much the overall activity level moved
+                # (unmeasured entries are zero and never vote).
+                ratio = _row_median(loc / prior, (prior > 0) & (loc > 0), 1.0)
+                ratio = np.where(0.2 > ratio, 0.2, ratio)
+                ratio = np.where(5.0 < ratio, 5.0, ratio)
+            else:
+                ratio = np.ones(len(records))
+            # Observed events are always rescaled to their current measured
+            # magnitude so that a previous bad estimate can never make a
+            # fresh observation numerically irrelevant; unobserved ones keep
+            # their estimate, or else take the slice's median magnitude.
+            known = prior > 0
+            if not known.all():
+                fallback = _pymax(_row_median(magnitude, magnitude > 0, 1.0), 1e-9)
+                unset = (scale <= 0) | (scale == 1.0)
+                scale = np.where(known, prior, np.where(unset, fallback[:, None], scale))
+            else:
+                scale = prior
+            scale = np.where(magnitude > 0, _pymax(magnitude, 1e-9), scale)
+            obs_mean = loc / scale
+            obs_scale = np.maximum(sigma / scale, 1e-9)
+            if self.observation_model == "student_t":
+                obs_variance = student_t_moment_variance(obs_scale, df)
+            else:
+                obs_variance = obs_scale**2
+            # The previous posterior, advanced by the intensity ratio, is the
+            # prior mean; its spread is the relative ``drift``.  Nothing
+            # known yet: a broad prior centred on the event's scale.
+            advanced = prior * ratio[:, None] / scale
+            prior_mean = np.where(known, advanced, 1.0)
+            prior_var = np.where(
+                known, np.float_power(self.drift * advanced + 1e-6, 2.0), 25.0
+            )
 
-    def _intensity_ratio(self, summaries: ObservationSummaries) -> float:
-        """Common-mode activity change since the previous slice (§3 chaining).
+        ticks, rng_states, seeds = [], [], []
+        draw = self.moment_estimator in ("batched-mcmc", "mcmc")
+        for state, _ in items:
+            rng_state = None if state is None else state.rng_state
+            if rng_state is None:
+                rng_state = self._fresh_rng_state
+            seed = 0
+            if draw:
+                # Drawn per record under that record's own stream, so a
+                # batch member samples the same chain its looped twin would.
+                self._rng.bit_generator.state = rng_state
+                seed = int(self._rng.integers(0, 2**63))
+                rng_state = self._rng.bit_generator.state
+            else:  # every successor owns its RNG dict, shared with no other state
+                rng_state = copy.deepcopy(rng_state)
+            ticks.append(0 if state is None else state.tick)
+            rng_states.append(rng_state)
+            seeds.append(seed)
 
-        Events measured in this slice that also have an estimate from the
-        previous slice (always including the fixed counters) vote on how much
-        the overall activity level moved; the median ratio is used to advance
-        the temporal prior of every event that was *not* measured.
-        """
-        if not self.use_intensity_chain:
-            return 1.0
-        ratios = []
-        for event, loc in zip(summaries.events, summaries.loc):
-            previous = self._prior_mean.get(event)
-            if previous is not None and previous > 0 and loc > 0:
-                ratios.append(loc / previous)
-        if not ratios:
-            return 1.0
-        ratio = float(np.median(ratios))
-        return float(min(max(ratio, 0.2), 5.0))
+        per_signature = self._compiled_path()
+        members: Dict[object, List[int]] = {}
+        for index, (signature, _) in enumerate(signatures):
+            members.setdefault(signature if per_signature else index, []).append(index)
+        observations = np.stack([loc, sigma, df, obs_mean, obs_scale, obs_variance])
+        variables = np.stack([scale, prior_mean, prior_var])
+        groups = []
+        for indices in members.values():
+            signature, slots = signatures[indices[0]]
+            take = np.array(indices, dtype=np.intp)
+            # One gather per block: (6, G, E) measured columns and (3, G, n)
+            # rows, unpacked below in _PreparedGroup field order.
+            observed = observations[:, take[:, None], slots]
+            per_variable = variables[:, take]
+            groups.append(
+                _PreparedGroup(
+                    signature,
+                    slots,
+                    indices,
+                    [records[i] for i in indices],
+                    *observed,
+                    *per_variable,
+                    [ticks[i] for i in indices],
+                    [rng_states[i] for i in indices],
+                    [seeds[i] for i in indices],
+                )
+            )
+        return groups
 
     def _build_factors(
-        self, summaries: ObservationSummaries
+        self, signature, locs, sigmas, dfs, scales: np.ndarray
     ) -> Tuple[List[Factor], List[List[Factor]]]:
         """Observation factors and per-group constraint factors (normalised).
 
-        The object-level slice model — needed only to compile a new
-        signature and on the reference-twin paths; the compiled hot path
-        binds the summary arrays directly.
+        The object-level slice model for one record's ``(E,)`` summaries
+        and ``(n,)`` scales — needed only to compile a new signature and on
+        the reference-twin paths; the compiled hot path binds the summary
+        arrays directly.
         """
+        slot = self._event_slot
         observation_factors: List[Factor] = []
-        for event, loc, sigma, df in zip(
-            summaries.events, summaries.loc, summaries.scale, summaries.df
-        ):
-            scale = self._scale[event]
+        for event, loc, sigma, df in zip(signature, locs, sigmas, dfs):
+            scale = scales[slot[event]]
             loc_norm = loc / scale
             sigma_norm = max(sigma / scale, 1e-9)
             if self.observation_model == "student_t":
@@ -535,7 +729,7 @@ class BayesPerfEngine:
             for index in group:
                 relation = self.relations[index]
                 coefficients = {
-                    event: coef * self._scale[event]
+                    event: coef * float(scales[slot[event]])
                     for event, coef in relation.coefficients.items()
                 }
                 magnitude = sum(abs(value) for value in coefficients.values())
@@ -552,33 +746,6 @@ class BayesPerfEngine:
                 )
             constraint_groups.append(factors)
         return observation_factors, constraint_groups
-
-    def _build_prior_arrays(self, intensity_ratio: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-        """Temporal prior over all events in normalised space, as arrays.
-
-        The previous slice's posterior mean, advanced by the common-mode
-        intensity ratio, becomes the prior mean; its spread is the relative
-        ``drift`` the workload is expected to exhibit between slices.
-        """
-        means = np.empty(len(self.events))
-        variances = np.empty(len(self.events))
-        for i, event in enumerate(self.events):
-            prior = self._prior_mean[event]
-            if prior is not None and prior > 0:
-                mean = prior * intensity_ratio / self._scale[event]
-                means[i] = mean
-                variances[i] = (self.drift * mean + 1e-6) ** 2
-            else:
-                # Nothing known yet: a broad prior centred on the event's scale.
-                means[i] = 1.0
-                variances[i] = 25.0
-        return means, variances
-
-    def _prior_density(self, prepared: _PreparedSlice) -> GaussianDensity:
-        """The prepared slice's temporal prior as a Gaussian object."""
-        means = {e: float(m) for e, m in zip(self.events, prepared.prior_mean_vec)}
-        variances = {e: float(v) for e, v in zip(self.events, prepared.prior_var_vec)}
-        return GaussianDensity.diagonal(means, variances)
 
     # -- inference -------------------------------------------------------------
 
@@ -659,10 +826,32 @@ class BayesPerfEngine:
             structure=structure, observation=observation, constraints=tuple(constraints)
         )
 
-    def _compiled_kernel(
-        self, prepared: _PreparedSlice
+    def _compile(
+        self, signature: Tuple[str, ...]
     ) -> Optional[Tuple[CompiledEPKernel, CompiledBinder]]:
-        """Cached compiled kernel + binder for this slice's graph structure.
+        """Compile the slice structure of *signature* (``None`` if it cannot).
+
+        Placeholder values stand in for the summaries and scales: only the
+        factor *types* and variable sets matter for compilation.
+        """
+        ones = np.ones(len(signature))
+        site_lists = self._site_factor_lists(
+            *self._build_factors(signature, ones, ones, 3.0 * ones, self._fresh_rows[1])
+        )
+        graph, sites = self._assemble_graph(site_lists)
+        structure = compile_factor_graph(graph, sites, variables=self.events)
+        if structure is None:
+            return None
+        kernel = CompiledEPKernel(
+            structure, damping=self.ep_damping, max_iterations=self.ep_max_iterations
+        )
+        binder = self._build_binder(structure, [name for name, _ in site_lists], signature)
+        return kernel, binder
+
+    def _compiled_kernel(
+        self, signature: Tuple[str, ...]
+    ) -> Optional[Tuple[CompiledEPKernel, CompiledBinder]]:
+        """Cached compiled kernel + binder for one graph structure.
 
         The structure is fully determined by which monitored events the
         slice measured (the constraint topology is fixed per engine), so
@@ -672,10 +861,9 @@ class BayesPerfEngine:
         """
         if not self._compiled_path():
             return None
-        signature = prepared.measured
         observer = self._observer
         try:
-            kernel = self._kernel_cache[signature]
+            compiled = self._kernel_cache[signature]
             if observer is not None:
                 observer.count("kernel.cache.hits")
         except KeyError:
@@ -686,29 +874,9 @@ class BayesPerfEngine:
                 if observer is not None
                 else nullcontext()
             ):
-                observation_factors, constraint_groups = self._build_factors(
-                    prepared.summaries
-                )
-                site_lists = self._site_factor_lists(
-                    observation_factors, constraint_groups
-                )
-                graph, sites = self._assemble_graph(site_lists)
-                structure = compile_factor_graph(graph, sites, variables=self.events)
-                if structure is None:
-                    kernel = None
-                else:
-                    kernel = CompiledEPKernel(
-                        structure,
-                        damping=self.ep_damping,
-                        max_iterations=self.ep_max_iterations,
-                    )
-                    self._binder_cache[signature] = self._build_binder(
-                        structure, [name for name, _ in site_lists], signature
-                    )
-            self._kernel_cache[signature] = kernel
-        if kernel is None:
-            return None
-        return kernel, self._binder_cache[signature]
+                compiled = self._compile(signature)
+            self._kernel_cache[signature] = compiled
+        return compiled
 
     # -- mega-batching (repro.fg.megabatch) ---------------------------------
 
@@ -720,33 +888,11 @@ class BayesPerfEngine:
         canonical structure treats *every* engine variable as observed, so
         any signature embeds by scattering its measured lanes and padding
         the rest with exact zeros.  Compiled once per engine, through the
-        same ``_build_factors → compile_factor_graph`` path as per-signature
-        structures, so constraint-site variable orderings match exactly.
+        same :meth:`_compile` path as per-signature structures, so
+        constraint-site variable orderings match exactly.
         """
-        if self._mega_cache is not False:
-            return self._mega_cache
-        n = len(self.events)
-        # Placeholder summaries: only the factor *types* and variable sets
-        # matter for compilation, never the values.
-        summaries = ObservationSummaries(
-            self.events, np.ones(n), np.ones(n), np.full(n, 3.0)
-        )
-        observation_factors, constraint_groups = self._build_factors(summaries)
-        site_lists = self._site_factor_lists(observation_factors, constraint_groups)
-        graph, sites = self._assemble_graph(site_lists)
-        structure = compile_factor_graph(graph, sites, variables=self.events)
-        if structure is None:
-            self._mega_cache = None
-        else:
-            kernel = CompiledEPKernel(
-                structure,
-                damping=self.ep_damping,
-                max_iterations=self.ep_max_iterations,
-            )
-            binder = self._build_binder(
-                structure, [name for name, _ in site_lists], self.events
-            )
-            self._mega_cache = (kernel, binder)
+        if self._mega_cache is False:
+            self._mega_cache = self._compile(self.events)
         return self._mega_cache
 
     def _kernel_threads(self) -> "ThreadPoolExecutor":
@@ -801,10 +947,8 @@ class BayesPerfEngine:
             repair_groups,
         )
 
-    def _megabatch_eligible(
-        self, groups: Dict[Tuple[str, ...], List[int]], prepared: List[_PreparedSlice]
-    ) -> List[Tuple[str, ...]]:
-        """Signatures of this batch that may merge into one canonical solve.
+    def _megabatch_eligible(self, groups: List[_PreparedGroup]) -> List[_PreparedGroup]:
+        """Signature groups of this batch that may merge into one canonical solve.
 
         A group qualifies when it measured at least one event and every
         record's projected observation precision is finite and strictly
@@ -819,25 +963,19 @@ class BayesPerfEngine:
         if (
             not self.megabatch
             or not self._estimator.megabatch
+            or not self._compiled_path()
             or len(groups) < 2
             or self._megabatch_structure() is None
         ):
             return []
         eligible = [
-            signature
-            for signature, indices in groups.items()
-            if signature
-            and all(
-                observation_certified(prepared[index].obs_variance)
-                for index in indices
-            )
+            group
+            for group in groups
+            if group.signature and observation_certified(group.obs_variance)
         ]
         return eligible if len(eligible) >= 2 else []
 
-    def _solve_megabatch(
-        self,
-        groups: List[Tuple[Tuple[str, ...], List[_PreparedSlice]]],
-    ) -> List[Tuple[Mapping[str, float], Mapping[str, float], int, bool]]:
+    def _solve_megabatch(self, groups: List[_PreparedGroup]) -> _Solved:
         """Solve several signature groups in one canonical kernel call.
 
         Records are laid out group-contiguously in one bucketed
@@ -849,12 +987,11 @@ class BayesPerfEngine:
         bit for bit.  The kernel's PD repair re-probes at the original
         group granularity (``repair_groups``): the Cholesky probe is
         all-or-nothing per call, so merging must not let one group's
-        indefinite block change another group's repair.  Returns results
-        in the flattened (group-major) record order.
+        indefinite block change another group's repair.  Returns the
+        groups' rows concatenated in order.
         """
         kernel, binder = self._megabatch_structure()
-        flat = [p for _, members in groups for p in members]
-        batch, n = len(flat), len(self.events)
+        batch, n = sum(len(group) for group in groups), len(self.events)
         obs_site = binder.observation.site
         observer = self._observer
         with (
@@ -862,27 +999,22 @@ class BayesPerfEngine:
             if observer is not None
             else nullcontext()
         ):
-            width = max(len(signature) for signature, _ in groups)
+            width = max(len(group.signature) for group in groups)
             blocks = []
             row = 0
-            for signature, members in groups:
-                rows = np.arange(row, row + len(members))
-                slots = np.array(
-                    [self._event_slot[event] for event in signature], dtype=np.intp
-                )
+            for group in groups:
                 blocks.append(
                     (
-                        rows,
-                        slots,
-                        padding_slots(width, slots, n),
-                        np.stack([p.obs_mean for p in members]),
-                        np.stack([p.obs_variance for p in members]),
+                        np.arange(row, row + len(group)),
+                        group.slots,
+                        padding_slots(width, group.slots, n),
+                        group.obs_mean,
+                        group.obs_variance,
                     )
                 )
-                row += len(members)
+                row += len(group)
             obs_block = bind_bucketed_observation(width, batch, blocks)
-            slot_table = obs_block[2]
-            scales = np.stack([p.scales_vec for p in flat])
+            scales = np.concatenate([group.scales for group in groups])
             stacked: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(  # type: ignore[list-item]
                 binder.structure.sites
             )
@@ -890,13 +1022,10 @@ class BayesPerfEngine:
             for constraint in binder.constraints:
                 site = binder.structure.sites[constraint.site]
                 stacked[constraint.site] = constraint.bind(scales[:, site.index])
-
-            prior_mean = np.stack([p.prior_mean_vec for p in flat])
-            prior_var = np.stack([p.prior_var_vec for p in flat])
-            prior_precision = np.zeros((batch, n, n))
-            diagonal = np.arange(n)
-            prior_precision[:, diagonal, diagonal] = 1.0 / prior_var
-            prior_shift = prior_mean / prior_var
+            prior_precision, prior_shift = _prior_information(
+                np.concatenate([group.prior_mean for group in groups]),
+                np.concatenate([group.prior_var for group in groups]),
+            )
 
         with (
             observer.span("kernel.solve", batch=batch, estimator="megabatch")
@@ -909,137 +1038,17 @@ class BayesPerfEngine:
                 prior_precision,
                 prior_shift,
                 certified_sites=(obs_site,),
-                site_index_overrides={obs_site: slot_table},
+                site_index_overrides={obs_site: obs_block[2]},
                 repair_groups=[block[0] for block in blocks],
             )
-        # ``tolist()`` yields the same binary64 values ``float(...)`` would;
-        # bulk extraction just skips the per-element numpy scalar round trip.
-        names = result.variables
-        means = result.means.tolist()
-        variances = result.variances.tolist()
-        return [
-            (
-                dict(zip(names, means[b])),
-                dict(zip(names, variances[b])),
-                int(result.iterations[b]),
-                bool(result.converged[b]),
-            )
-            for b in range(batch)
-        ]
-
-    def _solve_reference(
-        self,
-        site_lists: List[Tuple[str, List[Factor]]],
-        prior: GaussianDensity,
-    ) -> Tuple[Dict[str, float], Dict[str, float], int, bool]:
-        """Run the reference EP loop (MCMC estimator, or kernel fallback)."""
-        graph, sites = self._assemble_graph(site_lists)
-        ep = ExpectationPropagation(
-            graph,
-            sites,
-            prior,
-            moment_estimator=self.moment_estimator,
-            damping=self.ep_damping,
-            max_iterations=self.ep_max_iterations,
-            mcmc_samples=self.mcmc_samples,
-            rng=self._rng,
-        )
-        result = ep.run()
-        return result.posterior.mean(), result.posterior.variance(), result.iterations, result.converged
-
-    def _solve_reference_mcmc(
-        self, prepared: _PreparedSlice
-    ) -> Tuple[Dict[str, float], Dict[str, float]]:
-        """Reference twin of the batched MCMC estimator (object-based).
-
-        Walks the slice's Python factor objects per step, seeded with the
-        same per-record seed the batched path would use — the differential
-        harness pins the two within floating-point noise.
-        """
-        observation_factors, constraint_groups = self._build_factors(prepared.summaries)
-        factors: List[Factor] = list(observation_factors)
-        for group in constraint_groups:
-            factors.extend(group)
-        # The registry names the twin class, so swapping a registered
-        # implementation swaps every entry point at once.
-        twin = self._estimator.reference(
-            factors,
-            self._prior_density(prepared),
-            n_samples=self.mcmc_samples,
-            burn_in=self.mcmc_burn_in,
-            adapt=self.mcmc_adapt,
-        )
-        moments = twin.run(rng=np.random.default_rng(prepared.mcmc_seed))
-        return moments.mean(), moments.variance()
-
-    def _solve_reference_site_mcmc(
-        self, prepared: _PreparedSlice
-    ) -> Tuple[Dict[str, float], Dict[str, float], int, bool]:
-        """Reference twin of the batched per-site tilted MCMC (object-based).
-
-        Runs the identical EP loop with per-site coupled-chain moment
-        estimation, walking Python factor objects per step, seeded with the
-        same per-record seed the batched path would use — the differential
-        harness pins the two within floating-point noise.
-        """
-        observation_factors, constraint_groups = self._build_factors(prepared.summaries)
-        site_lists = self._site_factor_lists(observation_factors, constraint_groups)
-        twin = self._estimator.reference(
-            site_lists,
-            self._prior_density(prepared),
-            n_samples=self.mcmc_samples,
-            burn_in=self.mcmc_burn_in,
-            adapt=self.mcmc_adapt,
-            damping=self.ep_damping,
-            max_iterations=self.ep_max_iterations,
-            recorder=self.chain_recorder,
-        )
-        moments = twin.run(
-            rng=np.random.default_rng(prepared.mcmc_seed), tick=prepared.record.tick
-        )
-        return moments.mean(), moments.variance(), moments.iterations, moments.converged
-
-    def _prepare_slice(self, record: SamplingRecord) -> _PreparedSlice:
-        """Advance the temporal state and build one slice's arrays."""
-        summaries = self._observation_summaries(record)
-        intensity_ratio = self._intensity_ratio(summaries)
-        self._ensure_scales(summaries)
-        scale_obs = np.array([self._scale[event] for event in summaries.events])
-        obs_mean = summaries.loc / scale_obs
-        obs_scale = np.maximum(summaries.scale / scale_obs, 1e-9)
-        if self.observation_model == "student_t":
-            obs_variance = student_t_moment_variance(obs_scale, summaries.df)
-        else:
-            obs_variance = obs_scale**2
-        scales_vec = np.array([self._scale[event] for event in self.events])
-        prior_mean_vec, prior_var_vec = self._build_prior_arrays(intensity_ratio)
-        mcmc_seed = 0
-        if self.moment_estimator in ("batched-mcmc", "mcmc"):
-            # Drawn per record under that record's restored state, so a
-            # batch member samples the same chain its looped twin would.
-            mcmc_seed = int(self._rng.integers(0, 2**63))
-        return _PreparedSlice(
-            record=record,
-            measured=summaries.events,
-            summaries=summaries,
-            obs_mean=obs_mean,
-            obs_scale=obs_scale,
-            obs_variance=obs_variance,
-            scales_vec=scales_vec,
-            prior_mean_vec=prior_mean_vec,
-            prior_var_vec=prior_var_vec,
-            scale=dict(self._scale),
-            tick=self._tick,
-            rng_state=self._rng.bit_generator.state,
-            mcmc_seed=mcmc_seed,
-        )
+        return result.means, result.variances, result.iterations, result.converged
 
     def _solve_group_arrays(
         self,
-        group: List[_PreparedSlice],
+        group: _PreparedGroup,
         kernel: CompiledEPKernel,
         binder: CompiledBinder,
-    ) -> List[Tuple[Mapping[str, float], Mapping[str, float], int, bool]]:
+    ) -> _Solved:
         """Solve one same-signature group through the array-native path.
 
         Every step — binding, priors, the EP kernel or the batched MCMC
@@ -1052,18 +1061,10 @@ class BayesPerfEngine:
             if observer is not None
             else nullcontext()
         ):
-            obs_mean = np.stack([p.obs_mean for p in group])
-            obs_variance = np.stack([p.obs_variance for p in group])
-            scales = np.stack([p.scales_vec for p in group])
-            stacked = binder.bind_batch(obs_mean, obs_variance, scales)
-
-            prior_mean = np.stack([p.prior_mean_vec for p in group])
-            prior_var = np.stack([p.prior_var_vec for p in group])
-            batch, n = prior_mean.shape
-            prior_precision = np.zeros((batch, n, n))
-            diagonal = np.arange(n)
-            prior_precision[:, diagonal, diagonal] = 1.0 / prior_var
-            prior_shift = prior_mean / prior_var
+            stacked = binder.bind_batch(group.obs_mean, group.obs_variance, group.scales)
+            prior_precision, prior_shift = _prior_information(
+                group.prior_mean, group.prior_var
+            )
 
         with (
             observer.span(
@@ -1073,50 +1074,42 @@ class BayesPerfEngine:
             else nullcontext()
         ):
             return self._dispatch_group_solve(
-                group, kernel, binder, stacked, prior_precision, prior_shift,
-                obs_mean, obs_variance,
+                group, kernel, binder, stacked, prior_precision, prior_shift
             )
 
     def _dispatch_group_solve(
         self,
-        group: List[_PreparedSlice],
+        group: _PreparedGroup,
         kernel: CompiledEPKernel,
         binder: CompiledBinder,
         stacked,
         prior_precision: np.ndarray,
         prior_shift: np.ndarray,
-        obs_mean: np.ndarray,
-        obs_variance: np.ndarray,
-    ) -> List[Tuple[Mapping[str, float], Mapping[str, float], int, bool]]:
+    ) -> _Solved:
         """Route one bound group to its estimator's batched solve."""
-        batch = prior_shift.shape[0]
         if self.moment_estimator == "analytic":
             result = self._run_kernel(kernel, stacked, prior_precision, prior_shift)
-            return [
-                (
-                    result.mean_dict(b),
-                    result.variance_dict(b),
-                    int(result.iterations[b]),
-                    bool(result.converged[b]),
-                )
-                for b in range(batch)
-            ]
+            return result.means, result.variances, result.iterations, result.converged
 
-        measured = group[0].measured
+        tail = None
+        if self.observation_model == "student_t" and group.signature:
+            # The observation's non-Gaussian correction: in site-local
+            # coordinates (the binder's slot table) for the per-site
+            # sampler, in global slots for the full-posterior one.
+            tail = StudentTTail(
+                slots=(
+                    binder.observation.slots
+                    if self.moment_estimator == "mcmc"
+                    else group.slots
+                ),
+                loc=group.obs_mean,
+                scale=group.obs_scale,
+                df=group.df,
+                variance=group.obs_variance,
+            )
         if self.moment_estimator == "mcmc":
             # Per-site tilted MCMC inside the EP loop: the accelerator's
-            # inner loop, batched over the group.  The observation site's
-            # non-Gaussian correction lives in *site-local* coordinates
-            # (the binder's slot table).
-            site_tails = {}
-            if self.observation_model == "student_t" and measured:
-                site_tails[binder.observation.site] = StudentTTail(
-                    slots=binder.observation.slots,
-                    loc=obs_mean,
-                    scale=np.stack([p.obs_scale for p in group]),
-                    df=np.stack([p.summaries.df for p in group]),
-                    variance=obs_variance,
-                )
+            # inner loop, batched over the group.
             sampler = self._estimator.batched(
                 kernel,
                 n_samples=self.mcmc_samples,
@@ -1128,30 +1121,13 @@ class BayesPerfEngine:
                 stacked,
                 prior_precision,
                 prior_shift,
-                seeds=[p.mcmc_seed for p in group],
-                site_tails=site_tails,
-                ticks=[p.record.tick for p in group],
+                seeds=group.mcmc_seeds,
+                site_tails={} if tail is None else {binder.observation.site: tail},
+                ticks=[record.tick for record in group.records],
             )
-            return [
-                (
-                    solved.mean_dict(b),
-                    solved.variance_dict(b),
-                    int(solved.iterations[b]),
-                    bool(solved.converged[b]),
-                )
-                for b in range(batch)
-            ]
+            return solved.means, solved.variances, solved.iterations, solved.converged
 
         # Batched MCMC: the coupled-chain estimator over the same buffers.
-        extra = None
-        if self.observation_model == "student_t" and measured:
-            extra = StudentTTail(
-                slots=np.array([self._event_slot[e] for e in measured], dtype=np.intp),
-                loc=obs_mean,
-                scale=np.stack([p.obs_scale for p in group]),
-                df=np.stack([p.summaries.df for p in group]),
-                variance=obs_variance,
-            )
         sampler = self._estimator.batched(
             kernel,
             n_samples=self.mcmc_samples,
@@ -1162,87 +1138,131 @@ class BayesPerfEngine:
             stacked,
             prior_precision,
             prior_shift,
-            seeds=[p.mcmc_seed for p in group],
-            extra_log_density=extra,
+            seeds=group.mcmc_seeds,
+            extra_log_density=tail,
         )
-        return [
-            (sampled.mean_dict(b), sampled.variance_dict(b), 0, True)
-            for b in range(batch)
-        ]
+        batch = len(group)
+        return (
+            sampled.means,
+            sampled.variances,
+            np.zeros(batch, dtype=int),
+            np.ones(batch, dtype=bool),
+        )
+
+    def _solve_reference_row(
+        self, group: _PreparedGroup, row: int
+    ) -> Tuple[Mapping[str, float], Mapping[str, float], int, bool]:
+        """One record through its estimator's object-walking reference twin.
+
+        Used with ``use_compiled_kernel=False``, for structures that do not
+        compile, and for slices without any site (the posterior is the
+        prior).  The sampled twins are seeded with the same per-record seed
+        the batched path would use — the differential harness pins each
+        pair within floating-point noise.
+        """
+        prior = GaussianDensity.diagonal(
+            dict(zip(self.events, group.prior_mean[row].tolist())),
+            dict(zip(self.events, group.prior_var[row].tolist())),
+        )
+        if not (group.signature or self._has_sites):
+            return prior.mean(), prior.variance(), 0, True
+        observation_factors, constraint_groups = self._build_factors(
+            group.signature, group.loc[row], group.sigma[row], group.df[row], group.scales[row]
+        )
+        rng = np.random.default_rng(group.mcmc_seeds[row])
+        if self.moment_estimator == "batched-mcmc":
+            factors: List[Factor] = list(observation_factors)
+            for factor_group in constraint_groups:
+                factors.extend(factor_group)
+            # The registry names the twin class, so swapping a registered
+            # implementation swaps every entry point at once.
+            twin = self._estimator.reference(
+                factors,
+                prior,
+                n_samples=self.mcmc_samples,
+                burn_in=self.mcmc_burn_in,
+                adapt=self.mcmc_adapt,
+            )
+            moments = twin.run(rng=rng)
+            return moments.mean(), moments.variance(), 0, True
+        site_lists = self._site_factor_lists(observation_factors, constraint_groups)
+        if self.moment_estimator == "mcmc":
+            twin = self._estimator.reference(
+                site_lists,
+                prior,
+                n_samples=self.mcmc_samples,
+                burn_in=self.mcmc_burn_in,
+                adapt=self.mcmc_adapt,
+                damping=self.ep_damping,
+                max_iterations=self.ep_max_iterations,
+                recorder=self.chain_recorder,
+            )
+            moments = twin.run(rng=rng, tick=group.records[row].tick)
+            return moments.mean(), moments.variance(), moments.iterations, moments.converged
+        graph, sites = self._assemble_graph(site_lists)
+        result = ExpectationPropagation(
+            graph,
+            sites,
+            prior,
+            moment_estimator=self.moment_estimator,
+            damping=self.ep_damping,
+            max_iterations=self.ep_max_iterations,
+            mcmc_samples=self.mcmc_samples,
+            rng=self._rng,
+        ).run()
+        posterior = result.posterior
+        return posterior.mean(), posterior.variance(), result.iterations, result.converged
+
+    def _solve_reference(self, group: _PreparedGroup) -> _Solved:
+        """The group's records one by one through :meth:`_solve_reference_row`."""
+        rows = [self._solve_reference_row(group, row) for row in range(len(group))]
+        return (
+            np.array([[means[e] for e in self.events] for means, _, _, _ in rows]),
+            np.array([[variances[e] for e in self.events] for _, variances, _, _ in rows]),
+            np.array([row[2] for row in rows], dtype=int),
+            np.array([row[3] for row in rows], dtype=bool),
+        )
 
     def _finalize(
         self,
-        prepared: _PreparedSlice,
-        means: Mapping[str, float],
-        variances: Mapping[str, float],
-        iterations: int,
-        converged: bool,
-    ) -> Tuple[PosteriorReport, EngineState]:
-        """Turn one slice's posterior into a report + successor state."""
-        report = PosteriorReport(
-            tick=prepared.record.tick,
-            measured_events=prepared.measured,
-            ep_iterations=iterations,
-            ep_converged=converged,
-        )
-        prior_mean: Dict[str, Optional[float]] = {}
-        for event in self.events:
-            scale = prepared.scale[event]
-            mean = max(means[event] * scale, 0.0)
-            std = math.sqrt(max(variances[event], 0.0)) * scale
-            if event in self.monitored_events:
-                report.estimates[event] = EventEstimate(event=event, mean=mean, std=std)
-            # The temporal state for the next slice (latent events too).
-            prior_mean[event] = max(mean, 1e-9)
-        state = EngineState(
-            prior_mean=prior_mean,
-            scale=prepared.scale,
-            tick=prepared.tick + 1,
-            rng_state=prepared.rng_state,
-        )
-        return report, state
+        groups: List[_PreparedGroup],
+        solved: _Solved,
+        outputs: List[Optional[Tuple[PosteriorReport, EngineState]]],
+    ) -> None:
+        """Turn solved groups (rows concatenated) into reports + successor states.
 
-    def _finalize_prior_only(
-        self, prepared: _PreparedSlice
-    ) -> Tuple[PosteriorReport, EngineState]:
-        """Slice with no sites at all: the posterior is the prior."""
-        prior = self._prior_density(prepared)
-        return self._finalize(prepared, prior.mean(), prior.variance(), 0, True)
+        Denormalised means are clamped at zero; each event's next prior
+        (latent events too) is its mean floored at ``1e-9``.
+        """
+        means, variances, iterations, converged = solved
+        scales = np.concatenate([group.scales for group in groups])
+        mean = _pymax(means * scales, 0.0)
+        std = np.sqrt(_pymax(variances, 0.0)) * scales
+        following = _pymax(mean, 1e-9)
+        monitored = self.monitored_events
+        width = len(monitored)
+        iterations, converged = iterations.tolist(), converged.tolist()
+        row = 0
+        for group in groups:
+            for index, record, tick, rng_state in zip(
+                group.indices, group.records, group.ticks, group.rng_states
+            ):
+                report = PosteriorReport._from_rows(
+                    record.tick, monitored, mean[row, :width], std[row, :width],
+                    group.signature, int(iterations[row]), bool(converged[row]),
+                )
+                state = EngineState._from_rows(
+                    self.events, following[row], scales[row], tick + 1, rng_state
+                )
+                outputs[index] = (report, state)
+                row += 1
 
     def process_record(self, record: SamplingRecord) -> PosteriorReport:
-        """Infer the posterior for one scheduler time slice."""
-        prepared = self._prepare_slice(record)
-        if prepared.measured or self._has_sites:
-            compiled = self._compiled_kernel(prepared)
-            if compiled is not None:
-                kernel, binder = compiled
-                means, variances, iterations, converged = self._solve_group_arrays(
-                    [prepared], kernel, binder
-                )[0]
-            elif self.moment_estimator == "batched-mcmc":
-                means, variances = self._solve_reference_mcmc(prepared)
-                iterations, converged = 0, True
-            elif self.moment_estimator == "mcmc":
-                means, variances, iterations, converged = (
-                    self._solve_reference_site_mcmc(prepared)
-                )
-            else:
-                observation_factors, constraint_groups = self._build_factors(
-                    prepared.summaries
-                )
-                site_lists = self._site_factor_lists(observation_factors, constraint_groups)
-                means, variances, iterations, converged = self._solve_reference(
-                    site_lists, self._prior_density(prepared)
-                )
-            report, state = self._finalize(prepared, means, variances, iterations, converged)
-        else:
-            report, state = self._finalize_prior_only(prepared)
+        """Infer the posterior for one scheduler time slice.
 
-        # process_record mutates the engine in place; restore() of the
-        # successor state is bit-identical to this (the worker pool relies
-        # on the equivalence of both paths).
-        self._prior_mean.update(state.prior_mean)
-        self._tick = state.tick
+        A one-item :meth:`process_batch` that advances the engine's own run.
+        """
+        report, self._state = self.process_batch([(self._state, record)])[0]
         return report
 
     def process_batch(
@@ -1251,92 +1271,46 @@ class BayesPerfEngine:
         """Solve many independent slices in vectorized batches.
 
         Each item pairs a monitoring run's temporal state (``None`` for a
-        fresh run) with its next record.  Slices are prepared sequentially
-        (the cheap, state-dependent part), grouped by graph-structure
-        signature, and every group is solved in one array-native pass —
+        fresh run, or a state in either form) with its next record.
+        Records are grouped by graph-structure signature; every group is
+        prepared, solved and finalized in one array-native pass each —
         :meth:`CompiledEPKernel.run_stacked` for the analytic estimator,
-        :meth:`~repro.fg.mcmc.BatchedMCMC.run` for ``"batched-mcmc"``.
-        Returns, in input order, each slice's report and successor state —
-        exactly what ``restore(); process_record(); snapshot()`` would
-        produce, slice for slice, bit for bit.
+        the batched samplers for ``"mcmc"``/``"batched-mcmc"``.  The engine's
+        own run (:meth:`snapshot`) is left untouched.  Returns, in input
+        order, each slice's report and array-backed successor state — the
+        same numbers, bit for bit, whatever the batch's composition.
         """
         items = list(items)
         if not items:
             return []
-        if not self._compiled_path():
-            # Reference path (e.g. the per-site MCMC estimator, or the
-            # reference twins): per-slice solves.
-            results: List[Tuple[PosteriorReport, EngineState]] = []
-            for state, record in items:
-                self.restore(state) if state is not None else self.reset()
-                report = self.process_record(record)
-                results.append((report, self.snapshot()))
-            return results
-
-        prepared: List[_PreparedSlice] = []
-        for state, record in items:
-            self.restore(state) if state is not None else self.reset()
-            slice_ = self._prepare_slice(record)
-            slice_.state = state
-            prepared.append(slice_)
-
+        groups = self._prepare(items)
         outputs: List[Optional[Tuple[PosteriorReport, EngineState]]] = [None] * len(items)
-        groups: Dict[Tuple[str, ...], List[int]] = {}
-        for index, slice_ in enumerate(prepared):
-            groups.setdefault(slice_.measured, []).append(index)
 
         # Cross-signature mega-batching: merge every eligible signature
         # group into one canonical full-width solve (bit-identical to the
         # per-signature solves below — padded lanes are exact no-ops).
-        mega_signatures = self._megabatch_eligible(groups, prepared)
-        if mega_signatures:
+        merged = self._megabatch_eligible(groups)
+        if merged:
             observer = self._observer
             if observer is not None:
                 observer.count("kernel.megabatch.rounds")
-                observer.count("kernel.megabatch.signatures", len(mega_signatures))
-            merged = [
-                (signature, [prepared[index] for index in groups[signature]])
-                for signature in mega_signatures
-            ]
-            solved = self._solve_megabatch(merged)
-            position = 0
-            for signature in mega_signatures:
-                for index in groups[signature]:
-                    means, variances, iterations, converged = solved[position]
-                    outputs[index] = self._finalize(
-                        prepared[index], means, variances, iterations, converged
-                    )
-                    position += 1
-            merged_set = set(mega_signatures)
-            remaining = {
-                signature: indices
-                for signature, indices in groups.items()
-                if signature not in merged_set
-            }
-        else:
-            remaining = groups
+                observer.count("kernel.megabatch.signatures", len(merged))
+            self._finalize(merged, self._solve_megabatch(merged), outputs)
+            groups = [group for group in groups if all(group is not m for m in merged)]
 
         # Per-signature groups: compile/lookup sequentially (the caches are
         # engine state), then solve — concurrently across groups under
         # ``KernelExecSpec(partition="signature")``, in which case results
         # are still recorded in the deterministic group order after the join.
-        jobs: List[Tuple[List[int], CompiledEPKernel, CompiledBinder]] = []
-        for signature, indices in remaining.items():
-            first = prepared[indices[0]]
-            if not (first.measured or self._has_sites):
-                for index in indices:
-                    outputs[index] = self._finalize_prior_only(prepared[index])
-                continue
-            compiled = self._compiled_kernel(first)
+        jobs: List[Tuple[_PreparedGroup, CompiledEPKernel, CompiledBinder]] = []
+        for group in groups:
+            compiled = None
+            if group.signature or self._has_sites:
+                compiled = self._compiled_kernel(group.signature)
             if compiled is None:
-                # Non-compilable structure: reference path per slice.
-                for index in indices:
-                    slice_ = prepared[index]
-                    self.restore(slice_.state) if slice_.state is not None else self.reset()
-                    outputs[index] = (self.process_record(slice_.record), self.snapshot())
-                continue
-            kernel, binder = compiled
-            jobs.append((indices, kernel, binder))
+                self._finalize([group], self._solve_reference(group), outputs)
+            else:
+                jobs.append((group, *compiled))
 
         spec = self.kernel_exec
         parallel_groups = (
@@ -1350,31 +1324,12 @@ class BayesPerfEngine:
         )
         if parallel_groups:
             pool = self._kernel_threads()
-            futures = [
-                pool.submit(
-                    self._solve_group_arrays,
-                    [prepared[index] for index in indices],
-                    kernel,
-                    binder,
-                )
-                for indices, kernel, binder in jobs
-            ]
+            futures = [pool.submit(self._solve_group_arrays, *job) for job in jobs]
             solved_jobs = [future.result() for future in futures]
         else:
-            solved_jobs = [
-                self._solve_group_arrays(
-                    [prepared[index] for index in indices], kernel, binder
-                )
-                for indices, kernel, binder in jobs
-            ]
-        for (indices, _, _), solved in zip(jobs, solved_jobs):
-            for position, index in enumerate(indices):
-                means, variances, iterations, converged = solved[position]
-                outputs[index] = self._finalize(
-                    prepared[index], means, variances, iterations, converged
-                )
-        if any(output is None for output in outputs):
-            raise RuntimeError("process_batch left a slice unsolved (internal error)")
+            solved_jobs = [self._solve_group_arrays(*job) for job in jobs]
+        for (group, _, _), solved in zip(jobs, solved_jobs):
+            self._finalize([group], solved, outputs)
         return outputs  # type: ignore[return-value]
 
     def correct(self, sampled: SampledTrace) -> EstimateTrace:

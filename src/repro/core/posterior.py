@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 from scipy import stats
 
@@ -43,15 +43,46 @@ class EventEstimate:
         return low <= value <= high
 
 
-@dataclass
 class PosteriorReport:
-    """Posterior summaries for every monitored event in one time slice."""
+    """Posterior summaries for every monitored event in one time slice.
 
-    tick: int
-    estimates: Dict[str, EventEstimate] = field(default_factory=dict)
-    measured_events: Tuple[str, ...] = ()
-    ep_iterations: int = 0
-    ep_converged: bool = True
+    Reports from the engine hold their means and stds as array rows:
+    :meth:`means` / :meth:`stds` read the rows, and the
+    :class:`EventEstimate` objects of :attr:`estimates` are built on first
+    access.
+    """
+
+    def __init__(
+        self,
+        tick: int,
+        estimates: Optional[Dict[str, EventEstimate]] = None,
+        measured_events: Tuple[str, ...] = (),
+        ep_iterations: int = 0,
+        ep_converged: bool = True,
+    ) -> None:
+        self.tick = tick
+        self.estimates = {} if estimates is None else estimates
+        self.measured_events = measured_events
+        self.ep_iterations = ep_iterations
+        self.ep_converged = ep_converged
+        #: ``(events, mean row, std row)`` of an engine report.
+        self._rows = None
+
+    @classmethod
+    def _from_rows(cls, tick, events, means, stds, measured_events, ep_iterations, ep_converged):
+        report = cls.__new__(cls)
+        report.tick, report.measured_events = tick, measured_events
+        report.ep_iterations, report.ep_converged = ep_iterations, ep_converged
+        report._rows = (events, means, stds)
+        return report
+
+    @cached_property
+    def estimates(self) -> Dict[str, EventEstimate]:
+        events, means, stds = self._rows
+        return {
+            event: EventEstimate(event=event, mean=mean, std=std)
+            for event, mean, std in zip(events, means.tolist(), stds.tolist())
+        }
 
     def __contains__(self, event: str) -> bool:
         return event in self.estimates
@@ -59,10 +90,22 @@ class PosteriorReport:
     def __getitem__(self, event: str) -> EventEstimate:
         return self.estimates[event]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PosteriorReport):
+            return NotImplemented
+        fields = ("tick", "estimates", "measured_events", "ep_iterations", "ep_converged")
+        return all(getattr(self, name) == getattr(other, name) for name in fields)
+
+    __hash__ = None  # type: ignore[assignment]
+
     def means(self) -> Dict[str, float]:
+        if self._rows is not None:
+            return dict(zip(self._rows[0], self._rows[1].tolist()))
         return {name: estimate.mean for name, estimate in self.estimates.items()}
 
     def stds(self) -> Dict[str, float]:
+        if self._rows is not None:
+            return dict(zip(self._rows[0], self._rows[2].tolist()))
         return {name: estimate.std for name, estimate in self.estimates.items()}
 
     def most_uncertain(self, count: int = 5) -> Tuple[EventEstimate, ...]:

@@ -263,38 +263,46 @@ class TestBatchBitIdentity:
     def test_binder_blocks_bit_identical_across_batch_sizes(self, engine_and_records):
         catalog, events, sampled = engine_and_records
         engine = BayesPerfEngine(catalog, events)
-        engine.reset()
-        base = engine._prepare_slice(sampled.records[0])
-        kernel, binder = engine._compiled_kernel(base)
-        group = [base] * 5
-        batched = binder.bind_batch(
-            np.stack([p.obs_mean for p in group]),
-            np.stack([p.obs_variance for p in group]),
-            np.stack([p.scales_vec for p in group]),
-        )
-        single = binder.bind_batch(
-            base.obs_mean[None], base.obs_variance[None], base.scales_vec[None]
-        )
+        record = sampled.records[0]
+        (base,) = engine._prepare([(None, record)])
+        (group,) = engine._prepare([(None, record)] * 5)
+        kernel, binder = engine._compiled_kernel(base.signature)
+        batched = binder.bind_batch(group.obs_mean, group.obs_variance, group.scales)
+        single = binder.bind_batch(base.obs_mean, base.obs_variance, base.scales)
         for (bp, bs), (sp, ss) in zip(batched, single):
             for b in range(5):
                 assert np.array_equal(bp[b], sp[0])
                 assert np.array_equal(bs[b], ss[0])
+
+    def test_process_batch_bit_identical_across_batch_sizes(self, engine_and_records):
+        """One slice alone and five copies of it in one batch: same bits."""
+        catalog, events, sampled = engine_and_records
+        engine = BayesPerfEngine(catalog, events)
+        record = sampled.records[0]
+        (single, single_state), = engine.process_batch([(None, record)])
+        for report, state in engine.process_batch([(None, record)] * 5):
+            for got, want in (
+                (report.means(), single.means()),
+                (report.stds(), single.stds()),
+                (state.prior_mean, single_state.prior_mean),
+                (state.scale, single_state.scale),
+            ):
+                assert list(got) == list(want)
+                assert np.array_equal(
+                    np.array(list(got.values())).view(np.int64),
+                    np.array(list(want.values())).view(np.int64),
+                )
 
     def test_array_binding_matches_object_binding(self, engine_and_records):
         """CompiledBinder (arrays) vs CompiledGraph.bind (factor objects)."""
         catalog, events, sampled = engine_and_records
         engine = BayesPerfEngine(catalog, events)
         for record in sampled.records[:4]:
-            engine.reset()
-            prepared = engine._prepare_slice(record)
-            kernel, binder = engine._compiled_kernel(prepared)
-            arrays = binder.bind_batch(
-                prepared.obs_mean[None],
-                prepared.obs_variance[None],
-                prepared.scales_vec[None],
-            )
+            (group,) = engine._prepare([(None, record)])
+            kernel, binder = engine._compiled_kernel(group.signature)
+            arrays = binder.bind_batch(group.obs_mean, group.obs_variance, group.scales)
             observation_factors, constraint_groups = engine._build_factors(
-                prepared.summaries
+                group.signature, group.loc[0], group.sigma[0], group.df[0], group.scales[0]
             )
             site_lists = engine._site_factor_lists(observation_factors, constraint_groups)
             objects = kernel.structure.bind([factors for _, factors in site_lists])

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import BayesPerfEngine
+from repro.obs import MetricsRegistry, Observer
 from repro.events.profiles import standard_profiling_events
 from repro.events.registry import catalog_for
 from repro.fg import (
@@ -126,40 +127,36 @@ class TestMegabatchDifferential:
                 assert _gap(means[event], want_means[event]) < TOLERANCE
                 assert _gap(stds[event], want_stds[event]) < TOLERANCE
 
+    @staticmethod
+    def _megabatch_rounds(engine_kwargs, records):
+        """Canonical solves one ``process_batch`` call over fresh hosts ran."""
+        observer = Observer(metrics=MetricsRegistry())
+        engine = BayesPerfEngine(CATALOG, UNION, observer=observer, **engine_kwargs)
+        engine.process_batch([(None, record) for record in records])
+        return observer.metrics.counter("kernel.megabatch.rounds").value
+
     def test_megabatch_path_actually_engages(self):
         """The equality above must not be vacuous: the canonical solve runs."""
         subsets = [UNION[:5], UNION[4:10], UNION[2:9], UNION[:5]]
         records = [
             _record_for(subset, seed=31 * host) for host, subset in enumerate(subsets)
         ]
-        engine = BayesPerfEngine(CATALOG, UNION, megabatch=True)
-        prepared = []
-        for record in records:
-            engine.reset()
-            prepared.append(engine._prepare_slice(record))
-        groups = {}
-        for index, slice_ in enumerate(prepared):
-            groups.setdefault(slice_.measured, []).append(index)
-        assert len(groups) >= 2, "fleet must be heterogeneous for this test"
-        eligible = engine._megabatch_eligible(groups, prepared)
-        assert len(eligible) >= 2, "mega-batch eligibility must engage here"
+        signatures = {tuple(record.samples) for record in records}
+        assert len(signatures) >= 2, "fleet must be heterogeneous for this test"
+        assert self._megabatch_rounds({"megabatch": True}, records) == 1, (
+            "mega-batch eligibility must engage here"
+        )
 
     def test_disabled_by_default_and_for_non_analytic_estimators(self):
         records = [_record_for(UNION[:5], seed=3), _record_for(UNION[4:10], seed=5)]
-        default_engine = BayesPerfEngine(CATALOG, UNION)
-        sampling_engine = BayesPerfEngine(
-            CATALOG, UNION, megabatch=True, moment_estimator="batched-mcmc",
-            mcmc_samples=10, mcmc_burn_in=5,
-        )
-        for engine in (default_engine, sampling_engine):
-            prepared = []
-            for record in records:
-                engine.reset()
-                prepared.append(engine._prepare_slice(record))
-            groups = {}
-            for index, slice_ in enumerate(prepared):
-                groups.setdefault(slice_.measured, []).append(index)
-            assert engine._megabatch_eligible(groups, prepared) == []
+        sampling = {
+            "megabatch": True,
+            "moment_estimator": "batched-mcmc",
+            "mcmc_samples": 10,
+            "mcmc_burn_in": 5,
+        }
+        for engine_kwargs in ({}, sampling):
+            assert self._megabatch_rounds(engine_kwargs, records) == 0
 
 
 class TestRepairGroupComposition:

@@ -18,6 +18,7 @@ locale-mangled lines.
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -480,22 +481,25 @@ class TestMuxFractionWidening:
             mux_fraction=mux,
         )
 
-    def engine(self):
-        return BayesPerfEngine(
+    def summaries(self, record):
+        engine = BayesPerfEngine(
             catalog_for("x86"), ("CPU_CLK_UNHALTED.THREAD", "INST_RETIRED.ANY")
         )
+        loc, scale, _ = engine._summaries([record], [engine._signature(record)])
+        slots = engine._signature(record)[1]
+        return SimpleNamespace(loc=loc[0, slots], scale=scale[0, slots])
 
     def test_fraction_widens_the_observation_scale(self):
-        clean = self.engine()._observation_summaries(self.record({}))
-        muxed = self.engine()._observation_summaries(
+        clean = self.summaries(self.record({}))
+        muxed = self.summaries(
             self.record({"CPU_CLK_UNHALTED.THREAD": 0.25})
         )
         assert muxed.scale[0] == pytest.approx(clean.scale[0] / math.sqrt(0.25))
         assert muxed.scale[1] == clean.scale[1]  # untouched event unchanged
 
     def test_empty_fraction_dict_is_bit_identical(self):
-        base = self.engine()._observation_summaries(self.record({}))
-        default = self.engine()._observation_summaries(
+        base = self.summaries(self.record({}))
+        default = self.summaries(
             SamplingRecord(
                 tick=0,
                 configuration=self.record({}).configuration,
@@ -506,7 +510,7 @@ class TestMuxFractionWidening:
         assert np.array_equal(base.loc, default.loc)
 
     def test_degenerate_fractions_do_not_blow_up(self):
-        summaries = self.engine()._observation_summaries(
+        summaries = self.summaries(
             self.record({"CPU_CLK_UNHALTED.THREAD": 0.0, "INST_RETIRED.ANY": 1.0})
         )
         assert np.all(np.isfinite(summaries.scale))
