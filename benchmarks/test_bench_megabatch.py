@@ -10,9 +10,12 @@ three ticks, churning every tick).  Two measurements:
   are *not* amortisable across a realistic fleet round) driven through the
   public ``process_batch`` from fresh host states, so the vectorized
   prepare/finalize both modes share rides inside the timed region.
-  ``fragmented`` compiles + solves one per-signature batch per group;
-  ``megabatch`` compiles one canonical full-width structure and solves the
-  whole round in one kernel call per tick.  Acceptance: >= 3x.
+  ``fragmented`` makes one ``process_batch`` call per measured-event
+  signature (a single-signature batch never merges), so it compiles +
+  solves one per-signature batch per group; ``megabatch`` hands the whole
+  round to one ``process_batch`` call, which compiles one canonical
+  full-width structure and solves the round in one kernel call per tick.
+  Acceptance: >= 3x.
 * ``fleet`` — the same fleet end-to-end through ``process_batch`` with warm
   engines, default EP settings and each host's temporal chain carried
   across ticks; the shared prepare/finalize work bounds this ratio below
@@ -85,36 +88,48 @@ def _fresh_rounds(hosts):
     return [[(None, records[tick]) for _, records in hosts] for tick in range(TICKS)]
 
 
-def _solve_cold(catalog, union, rounds, megabatch):
-    """One cold engine solving every round through ``process_batch``.
+def _per_signature(engine, items):
+    """``process_batch`` once per measured-event signature (fragmented)."""
+    groups = {}
+    for index, (_, record) in enumerate(items):
+        groups.setdefault(tuple(record.samples), []).append(index)
+    outputs = [None] * len(items)
+    for indices in groups.values():
+        for index, result in zip(indices, engine.process_batch([items[i] for i in indices])):
+            outputs[index] = result
+    return outputs
 
-    ``megabatch=False`` compiles + solves one per-signature batch per
-    group (fragmented); ``megabatch=True`` compiles one canonical structure
-    and solves each round in one kernel call.
-    """
+
+#: How each mode hands a round to the engine.
+SOLVERS = {"fragmented": _per_signature, "megabatch": BayesPerfEngine.process_batch}
+
+
+def _solve_cold(catalog, union, rounds, mode):
+    """One cold engine solving every round the *mode*'s way."""
     engine = BayesPerfEngine(
         catalog,
         union,
         ep_damping=EP_DAMPING,
         ep_max_iterations=EP_ITERATIONS,
-        megabatch=megabatch,
     )
+    solve = SOLVERS[mode]
     start = time.perf_counter()
     results = [
-        [report.means() for report, _ in engine.process_batch(items)]
+        [report.means() for report, _ in solve(engine, items)]
         for items in rounds
     ]
     return time.perf_counter() - start, results
 
 
-def _run_fleet(engine, hosts):
-    """End-to-end heterogeneous fleet round via ``process_batch``."""
+def _run_fleet(engine, hosts, mode):
+    """End-to-end heterogeneous fleet round, solved the *mode*'s way."""
+    solve = SOLVERS[mode]
     states = [None] * len(hosts)
     estimates = [[] for _ in hosts]
     start = time.perf_counter()
     for slot in range(TICKS):
         items = [(states[h], records[slot]) for h, (_, records) in enumerate(hosts)]
-        for h, (report, state) in enumerate(engine.process_batch(items)):
+        for h, (report, state) in enumerate(solve(engine, items)):
             states[h] = state
             estimates[h].append(report.means())
     return time.perf_counter() - start, estimates
@@ -135,18 +150,14 @@ def test_bench_megabatch_solve_stage(benchmark):
     def compare():
         for _ in range(ROUNDS):
             for mode in ("fragmented", "megabatch"):
-                elapsed, results[mode] = _solve_cold(
-                    catalog, union, rounds, megabatch=mode == "megabatch"
-                )
+                elapsed, results[mode] = _solve_cold(catalog, union, rounds, mode)
                 timings[mode].append(elapsed)
         while (
             _best("fragmented") / _best("megabatch") <= 3.0
             and len(timings["megabatch"]) < MAX_ROUNDS
         ):
             for mode in ("fragmented", "megabatch"):
-                elapsed, results[mode] = _solve_cold(
-                    catalog, union, rounds, megabatch=mode == "megabatch"
-                )
+                elapsed, results[mode] = _solve_cold(catalog, union, rounds, mode)
                 timings[mode].append(elapsed)
         return timings
 
@@ -209,10 +220,7 @@ def test_bench_megabatch_solve_stage(benchmark):
 @pytest.mark.benchmark(group="megabatch")
 def test_bench_megabatch_fleet_end_to_end(benchmark):
     catalog, union, hosts = _hetero_fleet()
-    engines = {
-        "fragmented": BayesPerfEngine(catalog, union),
-        "megabatch": BayesPerfEngine(catalog, union, megabatch=True),
-    }
+    engines = {mode: BayesPerfEngine(catalog, union) for mode in SOLVERS}
     total_slices = N_HOSTS * TICKS
     timings = {mode: [] for mode in engines}
     estimates = {}
@@ -223,20 +231,20 @@ def test_bench_megabatch_fleet_end_to_end(benchmark):
     def compare():
         for _ in range(ROUNDS):
             for mode, engine in engines.items():
-                elapsed, estimates[mode] = _run_fleet(engine, hosts)
+                elapsed, estimates[mode] = _run_fleet(engine, hosts, mode)
                 timings[mode].append(elapsed)
         while (
             _best("fragmented") / _best("megabatch") <= 1.2
             and len(timings["megabatch"]) < MAX_ROUNDS
         ):
             for mode, engine in engines.items():
-                elapsed, estimates[mode] = _run_fleet(engine, hosts)
+                elapsed, estimates[mode] = _run_fleet(engine, hosts, mode)
                 timings[mode].append(elapsed)
         return timings
 
     benchmark.pedantic(compare, iterations=1, rounds=1)
 
-    # End-to-end bit-identity between the two engine modes.
+    # End-to-end bit-identity between the two modes.
     assert estimates["fragmented"] == estimates["megabatch"]
 
     throughput = {mode: total_slices / _best(mode) for mode in engines}

@@ -20,9 +20,13 @@ run with frozen specs, then execute it::
   per-slice results incrementally and flushes chain records to the
   recorder's tracefile sink after every inference round (bounded memory).
 * The legacy front doors remain as thin shims: ``FleetService.run`` drives
-  this pipeline internally, and ``PerfSession``/``FleetService`` accept
-  :class:`EstimatorSpec`/:class:`RecorderSpec` in place of their deprecated
-  stringly-typed kwargs.
+  this pipeline internally, and ``PerfSession``/``FleetService`` take
+  :class:`EstimatorSpec`/:class:`RecorderSpec` for estimator and recorder
+  configuration.
+* The engine picks its kernel path itself: a round whose hosts measured
+  several event signatures is solved in one mega-batched kernel call when
+  the estimator supports it (:mod:`repro.fg.megabatch`), bit-identical to
+  one call per signature.
 * :class:`ObserverSpec` opts a run into observability (:mod:`repro.obs`):
   OTel-style span export over the whole pipeline, the metrics registry,
   per-slice estimate records in the trace sink, and the end-of-run
@@ -47,7 +51,6 @@ from repro.api.spec import (
     EstimatorSpec,
     FaultPolicySpec,
     HostSpec,
-    KernelExecSpec,
     ObserverSpec,
     RecorderSpec,
     RunSpec,
@@ -62,7 +65,6 @@ __all__ = [
     "FaultPolicySpec",
     "HostComparison",
     "HostSpec",
-    "KernelExecSpec",
     "ObserverSpec",
     "Pipeline",
     "PipelineResult",

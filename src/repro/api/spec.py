@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.fg.mcmc import ChainTrace
-from repro.fg.megabatch import KernelExecSpec
 from repro.fg.registry import get_estimator
 from repro.fleet.faults import FaultPolicySpec
 from repro.obs.observer import Observer
@@ -46,7 +45,6 @@ __all__ = [
     "EstimatorSpec",
     "FaultPolicySpec",
     "HostSpec",
-    "KernelExecSpec",
     "ObserverSpec",
     "RecorderSpec",
     "RunSpec",
@@ -77,14 +75,6 @@ class EstimatorSpec:
     remaining fields default to ``None`` meaning "the engine's default".
     ``use_compiled_kernel=False`` selects the estimator's object-walking
     reference twin — the differential-testing A/B switch.
-
-    ``megabatch`` opts heterogeneous-fleet rounds into the cross-signature
-    mega-batched kernel (:mod:`repro.fg.megabatch`); ``kernel_exec``
-    carries a :class:`~repro.fg.megabatch.KernelExecSpec` describing how
-    the kernel spreads work across threads.  Both are ``None`` by default
-    (the engine's defaults), both are bit-identity-preserving knobs: they
-    change wall-clock, never numbers.  A plain mapping (e.g. from a
-    JSON-round-tripped ``RunSpec``) is coerced to a ``KernelExecSpec``.
     """
 
     name: str = "analytic"
@@ -93,12 +83,6 @@ class EstimatorSpec:
     adapt: Optional[bool] = None
     ep_iterations: Optional[int] = None
     use_compiled_kernel: bool = True
-    megabatch: Optional[bool] = None
-    kernel_exec: Optional[KernelExecSpec] = None
-
-    def __post_init__(self) -> None:
-        if self.kernel_exec is not None and isinstance(self.kernel_exec, Mapping):
-            object.__setattr__(self, "kernel_exec", KernelExecSpec(**self.kernel_exec))
 
     def engine_kwargs(self) -> Dict:
         """Resolve to :class:`~repro.core.engine.BayesPerfEngine` kwargs.
@@ -129,10 +113,6 @@ class EstimatorSpec:
             kwargs["mcmc_adapt"] = self.adapt
         if self.ep_iterations is not None:
             kwargs["ep_max_iterations"] = self.ep_iterations
-        if self.megabatch is not None:
-            kwargs["megabatch"] = self.megabatch
-        if self.kernel_exec is not None:
-            kwargs["kernel_exec"] = self.kernel_exec
         return kwargs
 
 

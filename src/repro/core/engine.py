@@ -24,6 +24,9 @@ intensity-ratio median, scale refresh, observation projection, temporal
 prior.  Records then split by measured-event signature; each group binds
 through the signature-cached :class:`~repro.fg.compiled.CompiledBinder`,
 solves in one kernel or batched-sampler call and is finalized at once.
+When the estimator's registry entry allows it (``"analytic"``), two or more
+certified groups merge into one canonical kernel call instead
+(:mod:`repro.fg.megabatch`), bit-identical to their per-signature calls.
 Successor :class:`EngineState` objects hold rows of those arrays; each
 :class:`~repro.core.posterior.PosteriorReport` builds its ``EventEstimate``
 objects only when read.
@@ -72,12 +75,9 @@ from repro.fg.compiled import (
 )
 from repro.fg.distributions import StudentT, student_t_moment_variance
 from repro.fg.megabatch import (
-    KernelExecSpec,
-    kernel_exec_from_env,
     bind_bucketed_observation,
     observation_certified,
     padding_slots,
-    run_lane_partitioned,
 )
 from repro.fg.ep import EPSite, ExpectationPropagation
 from repro.fg.factors import (
@@ -276,22 +276,6 @@ class BayesPerfEngine:
         Multiplier on every relation's tolerance (ablation knob).
     ep_max_iterations, ep_damping, mcmc_samples, mcmc_burn_in, seed:
         EP and MCMC controls.
-    megabatch:
-        Merge *all* eligible measured-event signatures of one
-        :meth:`process_batch` call into a single canonical full-width
-        kernel solve (:mod:`repro.fg.megabatch`): padded lanes carry exact
-        zeros so the mega-batched posteriors are bit-identical to the
-        per-signature batched ones — only the per-call dispatch overhead
-        changes.  Off by default; heterogeneous fleets turn it on via
-        ``EstimatorSpec(megabatch=True)``.
-    kernel_exec:
-        Optional :class:`~repro.fg.megabatch.KernelExecSpec` spreading the
-        batched kernel across threads (``partition="lane"`` chunks the
-        record axis inside one solve; ``partition="signature"`` runs
-        independent signature groups concurrently).  Partitions are fixed
-        functions of the workload shape, so any thread count is
-        bit-identical to ``threads=1``.  When ``None``, the
-        ``REPRO_KERNEL_THREADS`` environment variable supplies a default.
     use_compiled_kernel:
         Route compiled-estimator slices through the vectorized array path
         (:class:`~repro.fg.compiled.CompiledEPKernel` /
@@ -324,8 +308,6 @@ class BayesPerfEngine:
         observer=None,
         use_intensity_chain: bool = True,
         use_compiled_kernel: bool = True,
-        megabatch: bool = False,
-        kernel_exec: Optional[KernelExecSpec] = None,
         seed: int = 0,
     ) -> None:
         if observation_model not in ("student_t", "gaussian"):
@@ -381,9 +363,6 @@ class BayesPerfEngine:
         self._observer = observer
         self.use_intensity_chain = use_intensity_chain
         self.use_compiled_kernel = use_compiled_kernel
-        self.megabatch = megabatch
-        self.kernel_exec = kernel_exec if kernel_exec is not None else kernel_exec_from_env()
-        self._kernel_pool = None
         self._seed = seed
         #: Scratch generator for the per-record MCMC seed draws; the stream
         #: itself lives in each run's ``EngineState.rng_state``.
@@ -895,58 +874,6 @@ class BayesPerfEngine:
             self._mega_cache = self._compile(self.events)
         return self._mega_cache
 
-    def _kernel_threads(self) -> "ThreadPoolExecutor":
-        """The engine's lazily created kernel thread pool."""
-        if self._kernel_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._kernel_pool = ThreadPoolExecutor(
-                max_workers=self.kernel_exec.threads,
-                thread_name_prefix="repro-kernel",
-            )
-        return self._kernel_pool
-
-    def _run_kernel(
-        self,
-        kernel: CompiledEPKernel,
-        stacked,
-        prior_precision: np.ndarray,
-        prior_shift: np.ndarray,
-        certified_sites: Sequence[int] = (),
-        site_index_overrides: Optional[Dict[int, np.ndarray]] = None,
-        repair_groups: Optional[Sequence[np.ndarray]] = None,
-    ):
-        """``run_stacked`` with the engine's thread partition applied.
-
-        Lane partitioning chunks the batch axis across the thread pool;
-        the PD repair is hoisted ahead of the split and every remaining
-        kernel op is per-record, so the result is bit-identical to the
-        serial call for any thread count.
-        """
-        spec = self.kernel_exec
-        batch = prior_shift.shape[0]
-        if (
-            spec is None
-            or spec.threads <= 1
-            or spec.partition != "lane"
-            or batch < spec.threads
-        ):
-            return kernel.run_stacked(
-                stacked, prior_precision, prior_shift, certified_sites,
-                site_index_overrides, repair_groups,
-            )
-        return run_lane_partitioned(
-            kernel,
-            stacked,
-            prior_precision,
-            prior_shift,
-            certified_sites,
-            self._kernel_threads(),
-            spec.threads,
-            site_index_overrides,
-            repair_groups,
-        )
-
     def _megabatch_eligible(self, groups: List[_PreparedGroup]) -> List[_PreparedGroup]:
         """Signature groups of this batch that may merge into one canonical solve.
 
@@ -961,8 +888,7 @@ class BayesPerfEngine:
         registry's call (``EstimatorEntry.megabatch``).
         """
         if (
-            not self.megabatch
-            or not self._estimator.megabatch
+            not self._estimator.megabatch
             or not self._compiled_path()
             or len(groups) < 2
             or self._megabatch_structure() is None
@@ -1032,8 +958,7 @@ class BayesPerfEngine:
             if observer is not None
             else nullcontext()
         ):
-            result = self._run_kernel(
-                kernel,
+            result = kernel.run_stacked(
                 stacked,
                 prior_precision,
                 prior_shift,
@@ -1088,7 +1013,7 @@ class BayesPerfEngine:
     ) -> _Solved:
         """Route one bound group to its estimator's batched solve."""
         if self.moment_estimator == "analytic":
-            result = self._run_kernel(kernel, stacked, prior_precision, prior_shift)
+            result = kernel.run_stacked(stacked, prior_precision, prior_shift)
             return result.means, result.variances, result.iterations, result.converged
 
         tail = None
@@ -1170,14 +1095,12 @@ class BayesPerfEngine:
             group.signature, group.loc[row], group.sigma[row], group.df[row], group.scales[row]
         )
         rng = np.random.default_rng(group.mcmc_seeds[row])
+        site_lists = self._site_factor_lists(observation_factors, constraint_groups)
         if self.moment_estimator == "batched-mcmc":
-            factors: List[Factor] = list(observation_factors)
-            for factor_group in constraint_groups:
-                factors.extend(factor_group)
             # The registry names the twin class, so swapping a registered
             # implementation swaps every entry point at once.
             twin = self._estimator.reference(
-                factors,
+                site_lists,
                 prior,
                 n_samples=self.mcmc_samples,
                 burn_in=self.mcmc_burn_in,
@@ -1185,7 +1108,6 @@ class BayesPerfEngine:
             )
             moments = twin.run(rng=rng)
             return moments.mean(), moments.variance(), 0, True
-        site_lists = self._site_factor_lists(observation_factors, constraint_groups)
         if self.moment_estimator == "mcmc":
             twin = self._estimator.reference(
                 site_lists,
@@ -1275,7 +1197,9 @@ class BayesPerfEngine:
         Records are grouped by graph-structure signature; every group is
         prepared, solved and finalized in one array-native pass each —
         :meth:`CompiledEPKernel.run_stacked` for the analytic estimator,
-        the batched samplers for ``"mcmc"``/``"batched-mcmc"``.  The engine's
+        the batched samplers for ``"mcmc"``/``"batched-mcmc"``.  Groups the
+        mega-batch path certifies (see :meth:`_megabatch_eligible`) share
+        one canonical kernel call when there are at least two.  The engine's
         own run (:meth:`snapshot`) is left untouched.  Returns, in input
         order, each slice's report and array-backed successor state — the
         same numbers, bit for bit, whatever the batch's composition.
@@ -1298,37 +1222,14 @@ class BayesPerfEngine:
             self._finalize(merged, self._solve_megabatch(merged), outputs)
             groups = [group for group in groups if all(group is not m for m in merged)]
 
-        # Per-signature groups: compile/lookup sequentially (the caches are
-        # engine state), then solve — concurrently across groups under
-        # ``KernelExecSpec(partition="signature")``, in which case results
-        # are still recorded in the deterministic group order after the join.
-        jobs: List[Tuple[_PreparedGroup, CompiledEPKernel, CompiledBinder]] = []
         for group in groups:
             compiled = None
             if group.signature or self._has_sites:
                 compiled = self._compiled_kernel(group.signature)
             if compiled is None:
-                self._finalize([group], self._solve_reference(group), outputs)
+                solved = self._solve_reference(group)
             else:
-                jobs.append((group, *compiled))
-
-        spec = self.kernel_exec
-        parallel_groups = (
-            spec is not None
-            and spec.threads > 1
-            and spec.partition == "signature"
-            and len(jobs) > 1
-            and self._estimator.megabatch
-            and self._observer is None
-            and self.chain_recorder is None
-        )
-        if parallel_groups:
-            pool = self._kernel_threads()
-            futures = [pool.submit(self._solve_group_arrays, *job) for job in jobs]
-            solved_jobs = [future.result() for future in futures]
-        else:
-            solved_jobs = [self._solve_group_arrays(*job) for job in jobs]
-        for (group, _, _), solved in zip(jobs, solved_jobs):
+                solved = self._solve_group_arrays(group, *compiled)
             self._finalize([group], solved, outputs)
         return outputs  # type: ignore[return-value]
 

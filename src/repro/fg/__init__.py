@@ -10,9 +10,9 @@ This package implements the machinery behind the BayesPerf ML model (§4):
   estimation per site,
 * a compiled, vectorized EP kernel (index-compiled graph structures,
   Cholesky-based updates, batched multi-record solves),
-* cross-signature mega-batching and multicore kernel execution
-  (:mod:`repro.fg.megabatch`: canonical padded shapes whose padded lanes
-  are exact no-ops, plus deterministic lane/signature thread partitions),
+* cross-signature mega-batching (:mod:`repro.fg.megabatch`: canonical
+  padded shapes whose padded lanes are exact no-ops, so one kernel call
+  solves a mixed-signature round bit-identically),
 * a moment-estimator registry (:mod:`repro.fg.registry`) the samplers and
   their reference twins self-register into — every front door
   (engine, sessions, fleet CLI, :mod:`repro.api`) resolves estimator names
@@ -69,14 +69,9 @@ from repro.fg.compiled import (
     site_factor_lists,
 )
 from repro.fg.megabatch import (
-    KernelExecSpec,
     bind_bucketed_observation,
-    concat_results,
-    kernel_exec_from_env,
-    lane_chunks,
     observation_certified,
     padding_slots,
-    run_lane_partitioned,
 )
 from repro.fg.mle import credible_interval, map_estimate
 
@@ -94,14 +89,9 @@ __all__ = [
     "CompiledEPResult",
     "CompiledGraph",
     "ConstraintSiteBinder",
-    "KernelExecSpec",
     "bind_bucketed_observation",
-    "concat_results",
-    "kernel_exec_from_env",
-    "lane_chunks",
     "observation_certified",
     "padding_slots",
-    "run_lane_partitioned",
     "MCMCMoments",
     "ObservationSiteBinder",
     "ReferenceMCMC",

@@ -693,17 +693,22 @@ class CompiledEPKernel:
         prior_precision: np.ndarray,
         prior_shift: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scatter-add raw site blocks into global natural parameters.
+        """Scatter-add PD-repaired site blocks into global natural parameters.
 
-        Returns the information form of ``prior x product(site factors)``
-        for the whole batch — the *exact* Gaussian part of each record's
-        density (no PD repair, no damping).  The batched MCMC estimator
-        targets this density and uses :meth:`read_out` of the same buffers
-        as its control-variate baseline.
+        Returns the information form of ``prior x product(site targets)``
+        for the whole batch, where each site target is the site's factor
+        block after the same PD repair :meth:`run_stacked` applies (no
+        damping) — the fixed point undamped EP reaches.  The batched MCMC
+        estimator targets this density and uses :meth:`read_out` of the
+        same buffers as its control-variate baseline, so on an all-Gaussian
+        record it reproduces the analytic posterior exactly.  (The repair
+        matters: a linear-constraint site block is rank-deficient, and its
+        ``1e-9`` eigenvalue bump would otherwise separate the two paths.)
         """
         precision = prior_precision.copy()
         shift = prior_shift.copy()
-        for site, (block_precision, block_shift) in zip(self.structure.sites, stacked):
+        targets = self._repaired_targets(stacked)
+        for site, (block_precision, block_shift) in zip(self.structure.sites, targets):
             rows = site.index[:, None]
             cols = site.index[None, :]
             precision[:, rows, cols] += block_precision

@@ -29,7 +29,8 @@ such samplers in hardware.  This module provides the software equivalents:
 
 The batched/reference pair shares one estimator: a random-walk chain on the
 record's *true* density coupled (common random numbers) to a shadow chain on
-its Gaussian projection, whose exactly-known moments act as a control
+its Gaussian projection (each EP site's factor product, PD-repaired as EP
+repairs its site targets), whose exactly-known moments act as a control
 variate.  When the record's density *is* Gaussian — every factor's
 projection exact — the two chains coincide step for step, the sampled
 correction is identically zero, and the estimator returns the analytic
@@ -46,6 +47,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fg.distributions import student_t_log_pdf
+from repro.fg.gaussian import GaussianDensity
 from repro.fg.linalg import cholesky_inverse, cholesky_moments
 from repro.fg.registry import register_estimator, register_reference
 
@@ -1113,6 +1115,13 @@ class ReferenceMCMC:
     ``{variable: value}`` mapping.  The differential test harness (and the
     MCMC benchmark) pin :class:`BatchedMCMC` against this twin.
 
+    ``site_factors`` takes ``(site name, factor objects)`` pairs in site
+    order — the shape ``BayesPerfEngine._site_factor_lists`` produces and
+    :class:`~repro.fg.ep.ReferenceSiteMCMC` takes.  Each site's projection
+    gets the PD repair EP applies to its site target before it joins the
+    record's Gaussian, mirroring
+    :meth:`~repro.fg.compiled.CompiledEPKernel.assemble_global`.
+
     Seed handling: ``run`` derives *everything* from its RNG argument and
     mutates no sampler state, so repeated calls with equally-seeded
     generators reproduce each other exactly — unlike
@@ -1122,7 +1131,7 @@ class ReferenceMCMC:
 
     def __init__(
         self,
-        factors: Sequence,
+        site_factors: Sequence[Tuple[str, Sequence]],
         prior,
         *,
         n_samples: int = 300,
@@ -1140,7 +1149,7 @@ class ReferenceMCMC:
         self.adapt = adapt
         self.target_acceptance = target_acceptance
         self.adapt_window = adapt_window
-        self._factors = list(factors)
+        self._factors = [factor for _, factors in site_factors for factor in factors]
         not_projectable = [
             factor.name for factor in self._factors if not factor.anchor_free
         ]
@@ -1152,11 +1161,19 @@ class ReferenceMCMC:
         self.burn_in = burn_in
         self.step_scale = step_scale
         self._seed = seed
-        # Gaussian projection of the whole record: prior x every factor's
-        # (anchor-free) projection.  Exact when all factors are Gaussian.
+        # Gaussian projection of the whole record: prior x every site's
+        # PD-repaired product of (anchor-free) factor projections — the
+        # fixed point undamped analytic EP reaches.
         gaussian = prior.copy()
-        for factor in self._factors:
-            gaussian = gaussian.multiply(factor.to_gaussian(None))
+        for _, factors in site_factors:
+            site = GaussianDensity.uninformative(
+                tuple(dict.fromkeys(v for factor in factors for v in factor.variables))
+            )
+            for factor in factors:
+                site = site.multiply(factor.to_gaussian(None))
+            eye = np.eye(len(site.variables))
+            repaired = _repaired_precision(site.precision[None], eye)[0]
+            gaussian = gaussian.multiply(GaussianDensity(site.variables, repaired, site.shift))
         self._gaussian = gaussian
         #: (factor, projection) pairs whose true density is non-Gaussian.
         self._corrections = [

@@ -19,7 +19,6 @@ baseline the worker pool is benchmarked against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -112,9 +111,6 @@ class FleetService:
         over rounds/slices/kernel stages, the metrics registry — and the
         drive loop runs the end-of-run chain-health analysis.  ``None``
         (the default) leaves the hot path untouched.
-    chain_recorder:
-        Deprecated alias for ``recorder`` (emits ``DeprecationWarning``;
-        behaviour is unchanged).
     processors:
         Extra :class:`~repro.fleet.events.EventProcessor`s attached to the
         event stream (a :class:`~repro.fleet.events.MetricsProcessor` is
@@ -140,7 +136,6 @@ class FleetService:
         observer=None,
         fault_policy=None,
         chaos=None,
-        chain_recorder: Optional[ChainTrace] = None,
         processors: Sequence[EventProcessor] = (),
     ) -> None:
         self.arch = canonical_arch(arch)
@@ -167,15 +162,6 @@ class FleetService:
             # through the fg registry; explicit engine_kwargs entries win.
             for key, value in estimator.engine_kwargs().items():
                 self.engine_kwargs.setdefault(key, value)
-        if chain_recorder is not None:
-            warnings.warn(
-                "FleetService(chain_recorder=...) is deprecated; pass "
-                "recorder=RecorderSpec(...) or recorder=<ChainTrace>",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if recorder is None:
-                recorder = chain_recorder
         #: Streaming tracefile path chain records are flushed to (set by a
         #: RecorderSpec with a sink; consumed by Pipeline.stream()).
         self.chain_sink: Optional[str] = None

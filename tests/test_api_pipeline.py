@@ -251,65 +251,24 @@ class TestPipelineStream:
         assert read_trace(sink).chain is not None
 
 
-# -- deprecation shims over the legacy entry points ---------------------------
+# -- the legacy entry points take the spec spellings ---------------------------
 
 
 class TestDeprecationShims:
-    def test_session_moment_estimator_kwarg_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="moment_estimator"):
-            legacy = PerfSession("x86", metrics=METRICS, moment_estimator="batched-mcmc")
-        modern = PerfSession(
-            "x86", metrics=METRICS, estimator=EstimatorSpec("batched-mcmc")
-        )
-        assert legacy.engine_kwargs["moment_estimator"] == "batched-mcmc"
-        legacy_run = legacy.run("steady", n_ticks=4, seed=3)
-        modern_run = modern.run("steady", n_ticks=4, seed=3)
-        assert legacy_run.estimates.values_equal(modern_run.estimates)
-
-    def test_session_chain_recorder_kwarg_warns_and_still_records(self):
-        recorder = ChainTrace()
-        with pytest.warns(DeprecationWarning, match="chain_recorder"):
-            session = PerfSession(
-                "x86",
-                metrics=METRICS,
-                estimator=EstimatorSpec("mcmc", samples=15, burn_in=10, ep_iterations=2),
-                chain_recorder=recorder,
-            )
-        session.run("steady", n_ticks=2, seed=0)
-        assert recorder.n_visits > 0
-
-    def test_fleet_chain_recorder_kwarg_warns_and_matches_recorder_param(self):
-        kwargs = dict(
-            engine_kwargs={
-                "moment_estimator": "mcmc",
-                "mcmc_samples": 15,
-                "mcmc_burn_in": 10,
-                "ep_max_iterations": 2,
-            }
-        )
-        legacy_trace, modern_trace = ChainTrace(), ChainTrace()
-        with pytest.warns(DeprecationWarning, match="chain_recorder"):
-            legacy = _legacy_service(
-                n_hosts=2, n_ticks=2, chain_recorder=legacy_trace, **kwargs
-            )
-        modern = _legacy_service(n_hosts=2, n_ticks=2, recorder=modern_trace, **kwargs)
-        legacy_result = legacy.run()
-        modern_result = modern.run()
-        assert legacy_result.chain_trace is legacy_trace
-        assert legacy_trace.visits == modern_trace.visits
-        for host in legacy_result.estimates:
-            assert legacy_result.estimates[host].values_equal(
-                modern_result.estimates[host]
-            )
+    """The legacy ``FleetService`` front door, configured through the
+    ``estimator=``/``recorder=`` spellings that replaced its deprecated
+    kwargs."""
 
     def test_legacy_kwargs_still_reproduce_the_golden_trace(self):
-        """The deprecated spellings change nothing numerically: a service
-        built through them replays the committed golden fixture exactly."""
+        """A ``FleetService`` configured through ``estimator=``/``recorder=``
+        replays the committed golden fixture exactly."""
         golden = read_trace(GOLDEN_TRACE)
-        with pytest.warns(DeprecationWarning):
-            service = FleetService(
-                golden.arch, n_workers=2, chain_recorder=ChainTrace()
-            )
+        service = FleetService(
+            golden.arch,
+            n_workers=2,
+            estimator=EstimatorSpec(),
+            recorder=ChainTrace(),
+        )
         host = service.add_trace(GOLDEN_TRACE)
         result = service.run()
         got = result.estimates[host]

@@ -28,7 +28,6 @@ def test_api_all_is_pinned():
         "FaultPolicySpec",
         "HostComparison",
         "HostSpec",
-        "KernelExecSpec",
         "ObserverSpec",
         "Pipeline",
         "PipelineResult",
@@ -50,37 +49,7 @@ def test_estimator_spec_fields_are_pinned():
         "adapt",
         "ep_iterations",
         "use_compiled_kernel",
-        "megabatch",
-        "kernel_exec",
     )
-
-
-def test_kernel_exec_spec_fields_are_pinned():
-    assert _field_names(api.KernelExecSpec) == ("threads", "partition")
-
-
-def test_estimator_spec_coerces_kernel_exec_mapping():
-    spec = api.EstimatorSpec(kernel_exec={"threads": 4, "partition": "lane"})
-    assert spec.kernel_exec == api.KernelExecSpec(threads=4, partition="lane")
-    kwargs = spec.engine_kwargs()
-    assert kwargs["kernel_exec"] == api.KernelExecSpec(threads=4)
-    # Defaults stay defaults: no megabatch/kernel_exec keys unless set.
-    assert "megabatch" not in api.EstimatorSpec().engine_kwargs()
-    assert "kernel_exec" not in api.EstimatorSpec().engine_kwargs()
-
-
-def test_run_spec_kernel_exec_round_trips_through_dict():
-    spec = api.RunSpec.fleet(
-        2,
-        "steady",
-        n_ticks=2,
-        estimator=api.EstimatorSpec(
-            megabatch=True, kernel_exec=api.KernelExecSpec(threads=4)
-        ),
-    )
-    rebuilt = api.RunSpec.from_dict(spec.to_dict())
-    assert rebuilt == spec
-    assert rebuilt.estimator.kernel_exec == api.KernelExecSpec(threads=4)
 
 
 def test_recorder_spec_fields_are_pinned():

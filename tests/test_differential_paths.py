@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from per_signature import solve_per_signature
 from repro.core.engine import BayesPerfEngine
 from repro.events.profiles import standard_profiling_events
 from repro.events.registry import catalog_for
@@ -46,9 +47,9 @@ from repro.fg import (
 )
 from repro.fg.ep import EPSite
 from repro.fg.mcmc import RandomWalkMetropolis
-from repro.fg.megabatch import KernelExecSpec
 from repro.fleet.service import FleetService
 from repro.fleet.tracefile import read_trace
+from repro.obs import MetricsRegistry, Observer
 from repro.pmu.sampling import MultiplexedSampler
 from repro.scheduling.cache import cached_schedule
 from repro.uarch.machine import Machine, MachineConfig
@@ -211,8 +212,8 @@ class TestBatchedMCMCAgainstReferenceTwin:
             seeds=[seed],
             extra_log_density=tail,
         )
-        factors = [factor for group in site_factor_lists(graph, sites) for factor in group]
-        twin = ReferenceMCMC(factors, prior, n_samples=60, burn_in=40)
+        site_lists = list(zip((site.name for site in sites), site_factor_lists(graph, sites)))
+        twin = ReferenceMCMC(site_lists, prior, n_samples=60, burn_in=40)
         moments = twin.run(rng=np.random.default_rng(seed))
         for i, name in enumerate(prior.variables):
             assert _gap(fast.means[0, i], moments.means[i]) < TOLERANCE
@@ -576,11 +577,11 @@ class TestReferenceMCMCSeedHandling:
 
     def _twin(self):
         prior = GaussianDensity.diagonal({"a": 0.5, "b": -1.0}, {"a": 4.0, "b": 2.0})
-        factors = [
-            StudentTObservation("obs_a", "a", StudentT(loc=1.0, scale=0.4, df=3.0)),
-            LinearConstraintFactor("rel", {"a": 1.0, "b": 1.0}, sigma=0.3),
+        site_lists = [
+            ("obs", [StudentTObservation("obs_a", "a", StudentT(loc=1.0, scale=0.4, df=3.0))]),
+            ("rel", [LinearConstraintFactor("rel", {"a": 1.0, "b": 1.0}, sigma=0.3)]),
         ]
-        return ReferenceMCMC(factors, prior, n_samples=50, burn_in=25)
+        return ReferenceMCMC(site_lists, prior, n_samples=50, burn_in=25)
 
     def test_explicit_rng_is_reproducible_across_runs(self):
         twin = self._twin()
@@ -621,7 +622,7 @@ class TestReferenceMCMCSeedHandling:
 
         prior = GaussianDensity.diagonal({"a": 0.0}, {"a": 1.0})
         with pytest.raises(ValueError, match="anchor-free"):
-            ReferenceMCMC([Anchored("obs", "a", 0.0, 1.0)], prior)
+            ReferenceMCMC([("obs", [Anchored("obs", "a", 0.0, 1.0)])], prior)
 
 
 #: Committed golden traces.  The homogeneous one (a single-host session
@@ -640,9 +641,10 @@ class TestGoldenHeteroFleet:
     12-event x86 profiling union, phase-shifted ``h mod R`` into its
     schedule rotation, so one fleet round spans ~37 distinct measured-event
     signatures.  The fixture stores every host's per-tick estimates from
-    the default (per-signature batched) engine; re-running the recipe must
-    reproduce them, and the mega-batched / thread-partitioned paths must
-    match the default path **exactly** on the same fleet.
+    per-signature batched solves; re-running the recipe (whose rounds the
+    default engine now mega-batches) must reproduce them, and the merged
+    rounds must match one ``process_batch`` call per signature **exactly**
+    on the same fleet.
 
     Comparison against the committed file uses the same 1e-9 relative
     tolerance as the homogeneous golden pin (exact float equality would be
@@ -676,14 +678,18 @@ class TestGoldenHeteroFleet:
             hosts.append(sampled.sample(trace).records[offset : offset + self.TICKS])
         return catalog, union, hosts
 
-    def _run_fleet(self, catalog, union, hosts, **engine_kwargs):
-        """One fleet round per tick through ``process_batch`` (the recipe)."""
-        engine = BayesPerfEngine(catalog, union, **engine_kwargs)
+    def _run_fleet(self, catalog, union, hosts, per_signature=False, observer=None):
+        """One fleet round per tick through ``process_batch`` (the recipe).
+
+        ``per_signature`` splits each round into one call per signature.
+        """
+        engine = BayesPerfEngine(catalog, union, observer=observer)
+        solve = solve_per_signature if per_signature else BayesPerfEngine.process_batch
         states = [None] * len(hosts)
         outputs = [[] for _ in hosts]
         for tick in range(self.TICKS):
             items = [(states[h], records[tick]) for h, records in enumerate(hosts)]
-            for h, (report, state) in enumerate(engine.process_batch(items)):
+            for h, (report, state) in enumerate(solve(engine, items)):
                 states[h] = state
                 outputs[h].append((report.means(), report.stds()))
         return outputs
@@ -720,34 +726,21 @@ class TestGoldenHeteroFleet:
         ] == pytest.approx(331128.2579, abs=1e-3)
 
     def test_megabatch_and_partitioned_paths_match_exactly(self, fleet):
-        """Mega-batched and thread-partitioned engines equal the default
-        per-signature path bit-for-bit on the golden fleet (and therefore
+        """Mega-batched rounds equal the same rounds partitioned into one
+        call per signature, bit for bit, on the golden fleet (and therefore
         pin against the fixture transitively)."""
         catalog, union, hosts = fleet
-        baseline = self._run_fleet(catalog, union, hosts)
-        assert baseline == self._run_fleet(catalog, union, hosts, megabatch=True)
-        assert baseline == self._run_fleet(
-            catalog,
-            union,
-            hosts,
-            megabatch=True,
-            kernel_exec=KernelExecSpec(threads=4, partition="lane"),
-        )
-        assert baseline == self._run_fleet(
-            catalog,
-            union,
-            hosts,
-            kernel_exec=KernelExecSpec(threads=4, partition="signature"),
-        )
+        baseline = self._run_fleet(catalog, union, hosts, per_signature=True)
+        observer = Observer(metrics=MetricsRegistry())
+        assert baseline == self._run_fleet(catalog, union, hosts, observer=observer)
+        assert observer.metrics.counter("kernel.megabatch.rounds").value == self.TICKS
 
     def test_homogeneous_golden_replays_under_megabatch_engine(self):
-        """The pre-existing single-host golden fixture, replayed through a
-        mega-batch-enabled fleet service, still reproduces its committed
-        estimates — the merge path degrades to a single-signature batch."""
+        """The pre-existing single-host golden fixture, replayed through the
+        (mega-batching) default fleet service, still reproduces its
+        committed estimates — single-signature batches never merge."""
         golden = read_trace(GOLDEN_TRACE)
-        service = FleetService(
-            golden.arch, n_workers=2, engine_kwargs={"megabatch": True}
-        )
+        service = FleetService(golden.arch, n_workers=2)
         host = service.add_trace(GOLDEN_TRACE)
         result = service.run()
         got, want = result.estimates[host], golden.estimates

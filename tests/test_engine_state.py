@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from per_signature import solve_per_signature
 from repro.api import CheckpointSpec, HostSpec, Pipeline, RunSpec
 from repro.core.engine import BayesPerfEngine, EngineState, _pymax, _row_median
 from repro.core.posterior import EventEstimate, PosteriorReport
@@ -22,6 +23,7 @@ from repro.events.profiles import standard_profiling_events
 from repro.events.registry import catalog_for
 from repro.fleet.tracefile import read_trace
 from repro.fleet.wal import engine_state_from_json, engine_state_to_json
+from repro.obs import MetricsRegistry, Observer
 from repro.pmu.sampling import MultiplexedSampler, SamplingRecord
 from repro.scheduling.cache import cached_schedule
 from repro.uarch.machine import Machine, MachineConfig
@@ -117,13 +119,17 @@ class TestBitIdentityTraps:
 
 ENGINES = {
     "analytic": {},
-    "megabatch": {"megabatch": True},
+    "megabatch": {},
     "batched-mcmc": {
         "moment_estimator": "batched-mcmc", "mcmc_samples": 20, "mcmc_burn_in": 10,
     },
     "mcmc": {"moment_estimator": "mcmc", "mcmc_samples": 20, "mcmc_burn_in": 10},
     "reference": {"use_compiled_kernel": False},
 }
+#: Cases solved one ``process_batch`` call per signature, which keeps every
+#: group on the per-signature batched path.  The other cases solve the mixed
+#: batch in one call; only the analytic estimator merges it (``megabatch``).
+PER_SIGNATURE = {"analytic"}
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +171,14 @@ def test_batch_equals_the_one_record_loop_bit_for_bit(mixed_batch, name):
     items = [(state, records[2]) for state, records in zip(forms, mixed_batch)]
     assert len({engine._signature(record)[0] for _, record in items}) >= 4
 
-    batched = BayesPerfEngine(CATALOG, UNION, **kwargs).process_batch(items)
+    if name in PER_SIGNATURE:
+        batched = solve_per_signature(BayesPerfEngine(CATALOG, UNION, **kwargs), items)
+    else:
+        observer = Observer(metrics=MetricsRegistry())
+        engine = BayesPerfEngine(CATALOG, UNION, observer=observer, **kwargs)
+        batched = engine.process_batch(items)
+        merged = observer.metrics.counter("kernel.megabatch.rounds").value
+        assert merged == (1 if name == "megabatch" else 0)
 
     looped = BayesPerfEngine(CATALOG, UNION, **kwargs)
     for (state, record), (report, successor) in zip(items, batched):

@@ -1,26 +1,29 @@
-"""Cross-signature mega-batching and multicore kernel execution, locked down.
+"""Cross-signature mega-batching, locked down.
 
 The mega-batched solve (:mod:`repro.fg.megabatch`) replaces many
-per-signature batched kernel calls with one canonical padded call, and the
-``KernelExecSpec`` thread partitions replace one serial call with several
-chunked ones.  Both rewrites sit on the hottest numeric path, so their
-contract is **bit-identity**, not closeness:
+per-signature batched kernel calls with one canonical padded call whenever
+an analytic batch holds two or more certified signature groups.  It sits on
+the hottest numeric path, so its contract is **bit-identity**, not
+closeness:
 
-* mega-batched posteriors == per-signature batched posteriors, exactly, on
-  hypothesis-randomized heterogeneous fleets — and both match the
-  object-walking reference twin within 1e-6;
-* lane-partitioned results == serial results, exactly, for any thread
-  count;
+* mega-batched posteriors == per-signature batched posteriors (one
+  ``process_batch`` call per measured-event signature), exactly, on
+  hypothesis-randomized heterogeneous fleets and on a pipeline run over
+  real perf captures — and both match the object-walking reference twin
+  within 1e-6;
 * the PD repair composes: merged batches re-probe at original group
   granularity, so a group that passes its own Cholesky probe is never
   spuriously repaired by a failing neighbour.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from per_signature import solve_per_signature
 from repro.core.engine import BayesPerfEngine
 from repro.obs import MetricsRegistry, Observer
 from repro.events.profiles import standard_profiling_events
@@ -29,31 +32,22 @@ from repro.fg import (
     CompiledEPKernel,
     FactorGraph,
     GaussianObservation,
-    KernelExecSpec,
     LinearConstraintFactor,
     compile_factor_graph,
-    kernel_exec_from_env,
-    lane_chunks,
     observation_certified,
     padding_slots,
-    run_lane_partitioned,
 )
-from repro.api import (
-    EstimatorSpec,
-    HostSpec,
-    ObserverSpec,
-    Pipeline,
-    RecorderSpec,
-    RunSpec,
-)
+from repro.api import EstimatorSpec, HostSpec, ObserverSpec, Pipeline, RunSpec
 from repro.fg.ep import EPSite
-from repro.fg.megabatch import THREADS_ENV_VAR
+from repro.perfio.source import PerfTraceSource
 from repro.pmu.sampling import MultiplexedSampler
+from repro.pmu.traces import EstimateTrace
 from repro.scheduling.cache import cached_schedule
 from repro.uarch.machine import Machine, MachineConfig
 from repro.workloads.registry import get_workload
 
 TOLERANCE = 1e-6
+PERF_STAT_FIXTURE = Path(__file__).parent / "fixtures" / "perf_stat_interval.csv"
 
 CATALOG = catalog_for("x86")
 UNION = standard_profiling_events(CATALOG, n_events=12)
@@ -72,13 +66,22 @@ def _record_for(subset, seed, rotation=0):
     return sampler.sample(trace).records[offset]
 
 
-def _solve_batch(engine, records):
-    """Fresh-state batch solve; (means, stds, iterations, converged) rows."""
-    results = engine.process_batch([(None, record) for record in records])
+def _rows(results):
+    """(means, stds, iterations, converged) per ``(report, state)`` result."""
     return [
         (report.means(), report.stds(), report.ep_iterations, report.ep_converged)
         for report, _ in results
     ]
+
+
+def _solve_batch(engine, records):
+    """Fresh-state solve of *records* in one ``process_batch`` call."""
+    return _rows(engine.process_batch([(None, record) for record in records]))
+
+
+def _solve_fragmented(engine, records):
+    """Fresh-state solve, one ``process_batch`` call per signature."""
+    return _rows(solve_per_signature(engine, [(None, record) for record in records]))
 
 
 @st.composite
@@ -112,10 +115,8 @@ class TestMegabatchDifferential:
     @given(records=_hetero_fleet())
     @settings(max_examples=8, deadline=None)
     def test_megabatch_is_bit_identical_and_tracks_the_twin(self, records):
-        fragmented = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
-        megabatched = _solve_batch(
-            BayesPerfEngine(CATALOG, UNION, megabatch=True), records
-        )
+        fragmented = _solve_fragmented(BayesPerfEngine(CATALOG, UNION), records)
+        megabatched = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
         assert megabatched == fragmented
 
         twin = BayesPerfEngine(CATALOG, UNION, use_compiled_kernel=False)
@@ -143,20 +144,22 @@ class TestMegabatchDifferential:
         ]
         signatures = {tuple(record.samples) for record in records}
         assert len(signatures) >= 2, "fleet must be heterogeneous for this test"
-        assert self._megabatch_rounds({"megabatch": True}, records) == 1, (
+        assert self._megabatch_rounds({}, records) == 1, (
             "mega-batch eligibility must engage here"
         )
 
-    def test_disabled_by_default_and_for_non_analytic_estimators(self):
+    def test_never_merges_one_signature_or_non_merging_paths(self):
         records = [_record_for(UNION[:5], seed=3), _record_for(UNION[4:10], seed=5)]
+        assert self._megabatch_rounds({}, records) == 1
         sampling = {
-            "megabatch": True,
             "moment_estimator": "batched-mcmc",
             "mcmc_samples": 10,
             "mcmc_burn_in": 5,
         }
-        for engine_kwargs in ({}, sampling):
+        for engine_kwargs in (sampling, {"use_compiled_kernel": False}):
             assert self._megabatch_rounds(engine_kwargs, records) == 0
+        same_signature = [_record_for(UNION[:5], seed=seed) for seed in (3, 5, 7)]
+        assert self._megabatch_rounds({}, same_signature) == 0
 
 
 class TestRepairGroupComposition:
@@ -255,102 +258,6 @@ class TestRepairGroupComposition:
             assert np.array_equal(merged.variances[row], solo.variances[0])
 
 
-class TestLanePartition:
-    """threads=N results are bit-identical to the serial kernel."""
-
-    def _problem(self, batch=7):
-        variables = [f"v{i}" for i in range(4)]
-        graph = FactorGraph(variables=variables)
-        names = []
-        for v in variables:
-            graph.add_factor(GaussianObservation(f"obs_{v}", v, observed=0.5, sigma=0.8))
-            names.append(f"obs_{v}")
-        graph.add_factor(
-            LinearConstraintFactor("rel_0", {v: 1.0 for v in variables}, sigma=0.4)
-        )
-        sites = [EPSite("obs", tuple(names)), EPSite("rel", ("rel_0",))]
-        structure = compile_factor_graph(graph, sites, variables)
-        kernel = CompiledEPKernel(structure, damping=1.0)
-        rng = np.random.default_rng(42)
-        stacked = []
-        for _ in sites:
-            basis = rng.normal(size=(batch, 4, 4))
-            precision = basis @ np.swapaxes(basis, -1, -2) + 2.0 * np.eye(4)
-            stacked.append((precision, rng.normal(size=(batch, 4))))
-        prior_precision = np.stack([np.eye(4)] * batch)
-        prior_shift = rng.normal(size=(batch, 4))
-        return kernel, stacked, prior_precision, prior_shift
-
-    @pytest.mark.parametrize("threads", [2, 3, 4, 9])
-    def test_partitioned_kernel_is_bit_identical(self, threads):
-        from concurrent.futures import ThreadPoolExecutor
-
-        kernel, stacked, prior_precision, prior_shift = self._problem()
-        serial = kernel.run_stacked(stacked, prior_precision, prior_shift)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partitioned = run_lane_partitioned(
-                kernel, stacked, prior_precision, prior_shift, (), pool, threads
-            )
-        assert np.array_equal(partitioned.means, serial.means)
-        assert np.array_equal(partitioned.variances, serial.variances)
-        assert np.array_equal(partitioned.posterior_precision, serial.posterior_precision)
-        assert np.array_equal(partitioned.iterations, serial.iterations)
-        assert np.array_equal(partitioned.converged, serial.converged)
-
-    def test_engine_lane_threads_are_bit_identical(self):
-        records = [
-            _record_for(UNION[:8], seed=7 * host) for host in range(6)
-        ] + [_record_for(UNION[3:11], seed=100 + host) for host in range(4)]
-        serial = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
-        threaded = _solve_batch(
-            BayesPerfEngine(
-                CATALOG, UNION, kernel_exec=KernelExecSpec(threads=4, partition="lane")
-            ),
-            records,
-        )
-        mega_threaded = _solve_batch(
-            BayesPerfEngine(
-                CATALOG,
-                UNION,
-                megabatch=True,
-                kernel_exec=KernelExecSpec(threads=4, partition="lane"),
-            ),
-            records,
-        )
-        assert threaded == serial
-        assert mega_threaded == serial
-
-    def test_engine_signature_partition_is_bit_identical(self):
-        records = [
-            _record_for(UNION[:6], seed=51 * host) for host in range(3)
-        ] + [_record_for(UNION[5:11], seed=200 + host) for host in range(3)]
-        serial = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
-        partitioned = _solve_batch(
-            BayesPerfEngine(
-                CATALOG,
-                UNION,
-                kernel_exec=KernelExecSpec(threads=2, partition="signature"),
-            ),
-            records,
-        )
-        assert partitioned == serial
-
-    @given(batch=st.integers(1, 200), threads=st.integers(1, 16))
-    @settings(max_examples=40, deadline=None)
-    def test_lane_chunks_partition_the_batch_exactly(self, batch, threads):
-        bounds = lane_chunks(batch, threads)
-        assert bounds[0][0] == 0 and bounds[-1][1] == batch
-        assert len(bounds) == min(threads, batch)
-        sizes = []
-        for (start, stop), (next_start, _) in zip(bounds, bounds[1:]):
-            assert stop == next_start
-        for start, stop in bounds:
-            sizes.append(stop - start)
-            assert stop > start
-        assert max(sizes) - min(sizes) <= 1
-        assert bounds == lane_chunks(batch, threads)  # pure & deterministic
-
-
 class TestCanonicalShapeHelpers:
     def test_padding_slots_are_distinct_and_unmeasured(self):
         slots = np.array([1, 4, 7], dtype=np.intp)
@@ -377,87 +284,75 @@ class TestCanonicalShapeHelpers:
         assert not observation_certified(np.array([0.5, np.nan]))
 
 
-class TestKernelExecSpec:
-    def test_defaults(self):
-        spec = KernelExecSpec()
-        assert spec.threads == 1 and spec.partition == "lane"
+class TestMegabatchInPipeline:
+    """A default ``RunSpec`` over real perf captures merges, bit-identically.
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="threads"):
-            KernelExecSpec(threads=0)
-        with pytest.raises(ValueError, match="partition"):
-            KernelExecSpec(threads=2, partition="diagonal")
-
-    def test_frozen_and_hashable(self):
-        spec = KernelExecSpec(threads=4, partition="signature")
-        assert hash(spec) == hash(KernelExecSpec(threads=4, partition="signature"))
-        with pytest.raises(AttributeError):
-            spec.threads = 8
-
-    def test_kernel_exec_from_env(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert kernel_exec_from_env() is None
-        monkeypatch.setenv(THREADS_ENV_VAR, "")
-        assert kernel_exec_from_env() is None
-        monkeypatch.setenv(THREADS_ENV_VAR, " 4 ")
-        assert kernel_exec_from_env() == KernelExecSpec(threads=4)
-
-    def test_engine_picks_up_env_default(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        engine = BayesPerfEngine(CATALOG, UNION[:4])
-        assert engine.kernel_exec == KernelExecSpec(threads=4)
-        monkeypatch.delenv(THREADS_ENV_VAR)
-        assert BayesPerfEngine(CATALOG, UNION[:4]).kernel_exec is None
-
-
-@pytest.mark.thread_matrix
-class TestDeterminismUnderThreads:
-    """threads=1 vs threads=4 on one seeded RunSpec: byte-identical output.
-
-    The thread count is an execution knob, never a numeric one — the lane
-    partition pins each chunk's reduction layout and the signature
-    partition replays recording in deterministic key order, so the same
-    declarative run must produce the same estimates *and* the same
-    tracefile bytes regardless of parallelism.  CI re-runs the whole tier-1
-    suite with ``REPRO_KERNEL_THREADS=4`` on a matrix leg; these tests pin
-    the equivalence explicitly inside a single process.
+    The committed ``perf stat`` capture has ``<not counted>`` cells, so its
+    records do not all share one measured-event signature.  Hosts on one
+    worker advance in lock step, though, so two replays of the same file
+    always agree on the signature; the second host replays a copy that
+    starts one interval later, which lines each ``<not counted>`` interval
+    up against a fully counted one.
     """
 
-    def _spec(self, sink, kernel_exec):
-        # A mixed-signature fleet: each host monitors its own union slice.
-        subsets = (UNION[:6], UNION[:2] + UNION[7:10], UNION[2:8], tuple(UNION))
-        hosts = tuple(
-            HostSpec(workload="steady", seed=40 + h, n_ticks=3, events=subset)
-            for h, subset in enumerate(subsets)
-        )
-        return RunSpec(
-            events=tuple(UNION),
-            hosts=hosts,
-            estimator=EstimatorSpec(megabatch=True, kernel_exec=kernel_exec),
-            recorder=RecorderSpec(sink=sink),
-            observer=ObserverSpec(estimates=True, mixing=False),
-            n_workers=2,
-        )
+    def _captures(self, tmp_path):
+        lines = PERF_STAT_FIXTURE.read_text().splitlines(keepends=True)
+        first = next(line for line in lines if not line.startswith("#")).split(",")[0]
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text("".join(l for l in lines if not l.startswith(first + ",")))
+        return PERF_STAT_FIXTURE, shifted
 
-    def _run(self, tmp_path, name, kernel_exec):
-        sink = tmp_path / f"{name}.jsonl"
-        result = Pipeline.from_spec(self._spec(str(sink), kernel_exec)).run()
-        return result.estimates, sink.read_bytes()
-
-    def test_lane_threads_are_byte_identical(self, tmp_path):
-        serial, serial_log = self._run(tmp_path, "t1", KernelExecSpec(threads=1))
-        threaded, threaded_log = self._run(tmp_path, "t4", KernelExecSpec(threads=4))
-        assert serial.keys() == threaded.keys()
-        for host in serial:
-            assert serial[host].values_equal(threaded[host])
-        # The run logs — header, every estimate record — match byte for byte.
-        assert serial_log == threaded_log
-
-    def test_signature_partition_is_byte_identical(self, tmp_path):
-        serial, serial_log = self._run(tmp_path, "s1", KernelExecSpec(threads=1))
-        partitioned, partitioned_log = self._run(
-            tmp_path, "s4", KernelExecSpec(threads=4, partition="signature")
+    def _run(self, tmp_path, captures, estimator):
+        """Estimates per host and the run's ``kernel.megabatch.rounds``."""
+        spec = RunSpec(
+            hosts=tuple(HostSpec(perf=str(path)) for path in captures),
+            estimator=estimator,
+            observer=ObserverSpec(metrics=str(tmp_path / "metrics.json"), mixing=False),
+            n_workers=1,
         )
-        for host in serial:
-            assert serial[host].values_equal(partitioned[host])
-        assert serial_log == partitioned_log
+        pipeline = Pipeline.from_spec(spec)
+        result = pipeline.run()
+        counter = pipeline.service.observer.metrics.counter("kernel.megabatch.rounds")
+        return result.estimates, counter.value
+
+    def _per_signature_reference(self, captures):
+        """The same slot-by-slot rounds, one ``process_batch`` per signature."""
+        sources = [PerfTraceSource(f"ref-{h}", path) for h, path in enumerate(captures)]
+        assert all(source.events == sources[0].events for source in sources)
+        engine = BayesPerfEngine(
+            catalog_for("x86"), list(sources[0].events), **EstimatorSpec().engine_kwargs()
+        )
+        streams = [list(source.records()) for source in sources]
+        states = [None] * len(streams)
+        traces = [EstimateTrace(method="bayesperf") for _ in streams]
+        for tick in range(max(len(records) for records in streams)):
+            live = [h for h, records in enumerate(streams) if tick < len(records)]
+            results = solve_per_signature(
+                engine, [(states[h], streams[h][tick]) for h in live]
+            )
+            for h, (report, state) in zip(live, results):
+                states[h] = state
+                traces[h].append(report.means(), report.stds())
+        return traces
+
+    def test_default_run_merges_and_matches_the_per_signature_reference(self, tmp_path):
+        captures = self._captures(tmp_path)
+        estimates, rounds = self._run(tmp_path, captures, EstimatorSpec())
+        assert rounds > 0, "mixed-signature perf rounds must take the merged path"
+        reference = self._per_signature_reference(captures)
+        assert len(estimates) == len(reference)
+        for host, want in zip(sorted(estimates), reference):
+            assert len(estimates[host]) == len(want) > 0
+            assert estimates[host].values_equal(want)
+
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            EstimatorSpec("batched-mcmc", samples=10, burn_in=5),
+            EstimatorSpec(use_compiled_kernel=False),
+        ],
+        ids=["batched-mcmc", "reference-twin"],
+    )
+    def test_non_merging_estimators_never_merge(self, tmp_path, estimator):
+        _, rounds = self._run(tmp_path, self._captures(tmp_path), estimator)
+        assert rounds == 0
