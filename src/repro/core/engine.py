@@ -382,6 +382,11 @@ class BayesPerfEngine:
         self._kernel_cache: Dict[
             Tuple[str, ...], Optional[Tuple[CompiledEPKernel, CompiledBinder]]
         ] = {}
+        #: Constraint-site binder per ``(site position, relation group)``:
+        #: a group's site variables and coefficients do not depend on the
+        #: signature, so every compiled structure shares one binder (and
+        #: its scatter plan).
+        self._constraint_binders: Dict[Tuple[int, int], ConstraintSiteBinder] = {}
         #: Canonical full-width kernel + binder for the mega-batch path
         #: (compiled lazily; ``False`` = not built yet, ``None`` = the
         #: canonical structure does not compile).
@@ -773,8 +778,8 @@ class BayesPerfEngine:
         """Array-native binder for one compiled structure.
 
         Lowered once per measured-event signature: the observation site's
-        slot table plus each constraint group's stacked (unscaled)
-        coefficient matrix, in the structure's site-local orderings.
+        slot table, in the structure's site-local ordering, plus the
+        engine's shared constraint-site binders.
         """
         observation: Optional[ObservationSiteBinder] = None
         constraints: List[ConstraintSiteBinder] = []
@@ -784,8 +789,10 @@ class BayesPerfEngine:
             if name == "slice-observations":
                 slots = np.array([local[event] for event in measured], dtype=np.intp)
                 observation = ObservationSiteBinder(site=index, slots=slots, width=site.width)
-            else:
-                group = int(name.rsplit("-", 1)[1])
+                continue
+            group = int(name.rsplit("-", 1)[1])
+            binder = self._constraint_binders.get((index, group))
+            if binder is None:
                 relations = [self.relations[i] for i in self._relation_groups[group]]
                 coefficients = np.zeros((len(relations), site.width))
                 tolerances = np.empty(len(relations))
@@ -793,14 +800,14 @@ class BayesPerfEngine:
                     for event, coefficient in relation.coefficients.items():
                         coefficients[row, local[event]] = coefficient
                     tolerances[row] = relation.tolerance * self.relation_tolerance_scale
-                constraints.append(
-                    ConstraintSiteBinder(
-                        site=index,
-                        coefficients=coefficients,
-                        tolerances=tolerances,
-                        width=site.width,
-                    )
+                binder = ConstraintSiteBinder(
+                    site=index,
+                    coefficients=coefficients,
+                    tolerances=tolerances,
+                    width=site.width,
                 )
+                self._constraint_binders[index, group] = binder
+            constraints.append(binder)
         return CompiledBinder(
             structure=structure, observation=observation, constraints=tuple(constraints)
         )
@@ -1013,7 +1020,17 @@ class BayesPerfEngine:
     ) -> _Solved:
         """Route one bound group to its estimator's batched solve."""
         if self.moment_estimator == "analytic":
-            result = kernel.run_stacked(stacked, prior_precision, prior_shift)
+            # The mega-batch path's predicate: a certified observation block
+            # passes the PD probe untouched, so skipping the probe is exact.
+            certified = (
+                (binder.observation.site,)
+                if binder.observation is not None
+                and observation_certified(group.obs_variance)
+                else ()
+            )
+            result = kernel.run_stacked(
+                stacked, prior_precision, prior_shift, certified_sites=certified
+            )
             return result.means, result.variances, result.iterations, result.converged
 
         tail = None

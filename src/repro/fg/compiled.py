@@ -39,7 +39,13 @@ the EP iteration entirely on preallocated ``(B, ...)`` ndarray buffers:
   arithmetic of the reference loop, element-wise over the whole batch, with
   per-record convergence masks so each record reports the same iteration
   count the reference would.
-* Final posterior moments use one batched Cholesky solve
+* Undamped EP (``damping=1``, the engine default) over finite targets is at
+  its fixed point after one sweep: the second sweep would recompute every
+  site as exactly its current value.  The loop records that sweep's
+  outcome (iteration 2, converged, delta 0) and stops; damped runs and
+  batches with a non-finite target run the sweeps as written.
+* Final posterior moments use one batched Cholesky factorisation and a
+  triangular inverse of each factor
   (:func:`~repro.fg.linalg.cholesky_mean_and_variance`) instead of a full
   matrix inversion.
 
@@ -52,7 +58,7 @@ this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -216,9 +222,10 @@ def site_factor_lists(graph: FactorGraph, sites: Sequence[EPSite]) -> List[List[
 # back out.  The binders below skip the objects entirely: a record (or a
 # whole batch of records) is described by plain ndarrays — observation
 # moments and per-variable normalisation scales — and every site's
-# natural-parameter block comes out of one vectorized expression.  All ops
-# are element-wise or gufunc matmuls, so a record bound alone (B=1) is
-# bit-identical to the same record inside a batch.
+# natural-parameter block comes out of a few vectorized expressions that
+# touch only the block's nonzero support.  All ops are element-wise, so a
+# record bound alone (B=1) is bit-identical to the same record inside a
+# batch.
 
 
 @dataclass(frozen=True)
@@ -253,7 +260,12 @@ class ConstraintSiteBinder:
     Holds the group's *unscaled* invariant coefficients stacked as one
     ``(R, w)`` matrix; binding applies each record's per-variable
     normalisation scales and accumulates every relation's soft-constraint
-    block in a single batched ``A^T A`` product.
+    block ``a a^T / sigma^2``.  A relation touches only a few of the site's
+    variables, so the accumulation runs over the blocks' nonzero support
+    through a scatter plan built once at construction (see
+    :meth:`_support_plan`) instead of adding ``R`` dense ``(w, w)`` outer
+    products.  The engine builds one binder per constraint group and shares
+    it across every signature's compiled structure.
     """
 
     site: int
@@ -263,9 +275,52 @@ class ConstraintSiteBinder:
     #: tolerance scale), applied to the scaled coefficient magnitude.
     tolerances: np.ndarray
     width: int
+    _plan: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_plan", self._support_plan())
+
+    def _support_plan(self) -> Tuple[np.ndarray, ...]:
+        """Index arrays accumulating the blocks over their nonzero support.
+
+        ``relations`` / ``variables`` list the ``S`` nonzero coefficients in
+        row-major order.  Every upper-triangle entry ``(i, j)`` some relation
+        touches gets one row of ``left`` / ``right``: the support positions
+        of each contributing relation's ``a_i`` and ``a_j``, in relation
+        order, padded with ``S`` (an always-zero value slot) to the deepest
+        entry's term count.  ``upper`` / ``lower`` are the entry's flat
+        positions in the ``w x w`` block.
+        """
+        relations, variables = np.nonzero(self.coefficients != 0)
+        terms: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for relation in range(self.coefficients.shape[0]):
+            support = np.flatnonzero(relations == relation)  # ascending variable
+            for start, a in enumerate(support):
+                for b in support[start:]:
+                    terms.setdefault((int(variables[a]), int(variables[b])), []).append(
+                        (a, b)
+                    )
+        depth = max((len(pairs) for pairs in terms.values()), default=0)
+        left = np.full((len(terms), depth), len(relations), dtype=np.intp)
+        right = left.copy()
+        upper = np.empty(len(terms), dtype=np.intp)
+        lower = np.empty(len(terms), dtype=np.intp)
+        for entry, ((i, j), pairs) in enumerate(terms.items()):
+            left[entry, : len(pairs)] = [a for a, _ in pairs]
+            right[entry, : len(pairs)] = [b for _, b in pairs]
+            upper[entry] = i * self.width + j
+            lower[entry] = j * self.width + i
+        return relations, variables, left, right, upper, lower
 
     def bind(self, scales: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Site blocks for ``(B, w)`` per-record variable scales."""
+        """Site blocks for ``(B, w)`` per-record variable scales.
+
+        For finite scales the result is bit-identical to accumulating every
+        relation's dense outer product in relation order: each entry adds
+        the same nonzero terms in the same order, and the skipped terms are
+        exact zeros.
+        """
+        relations, variables, left, right, upper, lower = self._plan
         # ascontiguousarray pins the broadcast product's memory layout:
         # numpy lays the (B, R, w) result out differently for B=1 than for
         # B>1, and the reduction below follows memory order, which would
@@ -275,17 +330,23 @@ class ConstraintSiteBinder:
         )  # (B, R, w)
         magnitude = np.abs(scaled).sum(axis=-1)  # (B, R)
         sigma = np.maximum(self.tolerances[None, :] * magnitude, 1e-9)
-        rows = scaled / sigma[..., None]
-        # Accumulate each relation's outer product element-wise rather than
-        # through a batched GEMM: BLAS picks batch-size-dependent blocking,
-        # which would break the B=1 == B=N bit-identity the worker pool
-        # relies on.  Relation order matches the object path's op loop.
-        precision = np.zeros((scaled.shape[0], self.width, self.width))
-        for relation in range(rows.shape[1]):
-            row = rows[:, relation, :]
-            precision += row[:, :, None] * row[:, None, :]
-        shift = np.zeros((scaled.shape[0], self.width))
-        return precision, shift
+        batch = scaled.shape[0]
+        # Support values a_i / sigma, plus the zero slot padded terms read.
+        values = np.zeros((batch, len(relations) + 1))
+        np.divide(
+            scaled[:, relations, variables], sigma[:, relations], out=values[:, :-1]
+        )
+        products = values[:, left] * values[:, right]  # (B, entries, depth)
+        # Element-wise adds, one term per entry at a time, in relation
+        # order: a batched reduction could reassociate the sum.
+        total = np.zeros(products.shape[:2])
+        for term in range(products.shape[2]):
+            total += products[:, :, term]
+        precision = np.zeros((batch, self.width * self.width))
+        precision[:, upper] = total
+        precision[:, lower] = total
+        shift = np.zeros((batch, self.width))
+        return precision.reshape(batch, self.width, self.width), shift
 
 
 @dataclass(frozen=True)
@@ -438,6 +499,10 @@ class CompiledEPKernel:
             raise ValueError("damping must lie in (0, 1]")
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not tolerance > 0.0:
+            # A delta can never fall below a non-positive tolerance: every
+            # call would run max_iterations and report itself unconverged.
+            raise ValueError("tolerance must be positive")
         self.structure = structure
         self.damping = damping
         self.max_iterations = max_iterations
@@ -463,13 +528,16 @@ class CompiledEPKernel:
         record, so mixed batches behave exactly like the reference.
 
         ``certified_sites`` names site indices whose blocks the caller has
-        already certified PD-on-the-populated-lanes (the mega-batch path's
-        padded observation site: a diagonal block whose measured lanes are
-        strictly positive and whose padded lanes are exactly zero).  Such a
-        block would fail the full-width Cholesky probe even though every
-        populated lane is fine, and the eigenvalue repair would bump *all*
-        lanes — so certified sites pass through untouched, exactly as the
-        per-signature (unpadded) stack would have.
+        already certified PD-on-the-populated-lanes (an observation site:
+        a diagonal block whose measured lanes are strictly positive, see
+        :func:`repro.fg.megabatch.observation_certified`).  An unpadded
+        certified block passes the probe anyway, so skipping it only saves
+        the factorisation.  The mega-batch path's padded observation site
+        also has exactly-zero padded lanes: it would fail the full-width
+        Cholesky probe even though every populated lane is fine, and the
+        eigenvalue repair would bump *all* lanes — so certified sites pass
+        through untouched, exactly as the per-signature (unpadded) stack
+        would have.
 
         ``repair_groups`` partitions the batch axis into the record-index
         groups that would each have been one ``run_stacked`` call on their
@@ -624,6 +692,15 @@ class CompiledEPKernel:
             for k, table in overrides.items()
         }
 
+        # Undamped EP over finite, iteration-invariant targets reaches its
+        # fixed point in one sweep: sweep 2 recomputes every site as exactly
+        # its current value, so its delta is 0 and it adds only zeros.  Its
+        # outcome is then known without running it.
+        settled = eta == 1.0 and all(
+            np.isfinite(precision).all() and np.isfinite(shift).all()
+            for precision, shift in targets
+        )
+
         for iteration in range(1, self.max_iterations + 1):
             iteration_delta = np.zeros(batch)
             for k, site in enumerate(sites):
@@ -673,6 +750,13 @@ class CompiledEPKernel:
             converged |= newly_converged
             active &= ~newly_converged
             if not active.any():
+                break
+            if settled and iteration == 1 and self.max_iterations >= 2:
+                # Record what sweep 2 would: every still-active record
+                # converges there with a zero delta.
+                iterations = np.where(active, 2, iterations)
+                max_delta = np.where(active, 0.0, max_delta)
+                converged[:] = True
                 break
 
         means, variances = self.read_out(global_precision, global_shift)

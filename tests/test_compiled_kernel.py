@@ -16,6 +16,7 @@ from repro.events.profiles import standard_profiling_events
 from repro.events.registry import catalog_for
 from repro.fg import (
     CompiledEPKernel,
+    ConstraintSiteBinder,
     ExpectationPropagation,
     FactorGraph,
     GaussianDensity,
@@ -28,6 +29,7 @@ from repro.fg import (
 from repro.fg.distributions import StudentT
 from repro.fg.ep import EPSite
 from repro.fg.factors import Factor, StudentTObservation
+from repro.fg.linalg import cholesky_mean_and_variance
 from repro.pmu.sampling import MultiplexedSampler
 from repro.scheduling.cache import cached_schedule
 from repro.uarch.machine import Machine, MachineConfig
@@ -339,3 +341,187 @@ class TestPropertyEquivalence:
             assert np.array_equal(alone.variances[0], together.variances[b])
             assert alone.iterations[0] == together.iterations[b]
             assert alone.converged[0] == together.converged[b]
+
+
+class TestUndampedEarlyExit:
+    """damping=1 stops after sweep 1 and reports what sweep 2 would."""
+
+    @staticmethod
+    def _observed_graph(sigma=1e4):
+        """Two observations; at the default sigma every site target lies
+        below the default 1e-6 tolerance."""
+        graph = FactorGraph(variables=["a", "b"])
+        graph.add_factor(GaussianObservation("obs_a", "a", observed=1.0, sigma=sigma))
+        graph.add_factor(GaussianObservation("obs_b", "b", observed=-2.0, sigma=3 * sigma))
+        sites = [EPSite("observations", ("obs_a", "obs_b"))]
+        prior = GaussianDensity.diagonal({"a": 0.5, "b": 0.5}, {"a": 4.0, "b": 4.0})
+        return graph, sites, prior
+
+    def test_undamped_run_matches_reference_at_iteration_two(self):
+        reference, compiled = _run_both(*_bench_graph(), damping=1.0)
+        assert reference.iterations == 2 and reference.converged
+        assert float(compiled.max_delta[0]) == reference.max_delta == 0.0
+        _assert_posteriors_match(reference, compiled)
+
+    def test_single_sweep_cap_stays_unconverged(self):
+        reference, compiled = _run_both(*_bench_graph(), damping=1.0, max_iterations=1)
+        assert int(compiled.iterations[0]) == reference.iterations == 1
+        assert not reference.converged and not bool(compiled.converged[0])
+        assert float(compiled.max_delta[0]) == pytest.approx(reference.max_delta, rel=1e-12)
+        _assert_posteriors_match(reference, compiled)
+
+    def test_targets_below_tolerance_converge_at_iteration_one(self):
+        reference, compiled = _run_both(*self._observed_graph(), damping=1.0)
+        assert reference.iterations == 1 and reference.converged
+        assert 0.0 < float(compiled.max_delta[0]) == pytest.approx(reference.max_delta, rel=1e-12)
+        _assert_posteriors_match(reference, compiled)
+
+    def test_mixed_batch_reports_each_record_as_alone(self):
+        """A record converged at sweep 1 keeps its delta beside one settled at 2."""
+        problems = [self._observed_graph(sigma) for sigma in (1e4, 0.1)]
+        graph, sites, prior = problems[0]
+        structure = compile_factor_graph(graph, sites, prior.variables)
+        kernel = CompiledEPKernel(structure, damping=1.0)
+        bindings = [structure.bind(site_factor_lists(g, s)) for g, s, _ in problems]
+        priors = [prior for _, _, prior in problems]
+        together = kernel.run(bindings, priors)
+        assert together.iterations.tolist() == [1, 2]
+        assert together.converged.tolist() == [True, True]
+        assert together.max_delta[0] > 0.0 and together.max_delta[1] == 0.0
+        for b, (graph, sites, prior) in enumerate(problems):
+            alone = kernel.run([bindings[b]], [prior])
+            assert np.array_equal(alone.means[0], together.means[b])
+            assert np.array_equal(alone.variances[0], together.variances[b])
+            assert alone.iterations[0] == together.iterations[b]
+            assert alone.max_delta[0] == together.max_delta[b]
+            reference = ExpectationPropagation(graph, sites, prior, damping=1.0).run()
+            _assert_posteriors_match(reference, alone)
+
+    def test_nan_poisoned_record_keeps_the_loop_and_spares_its_batch_mates(self):
+        observed = [2.0, -1.0, 0.5]
+        problems = [_bench_graph(value) for value in observed]
+        graph, sites, _ = problems[0]
+        structure = compile_factor_graph(graph, sites, problems[0][2].variables)
+        kernel = CompiledEPKernel(structure, damping=1.0, max_iterations=5)
+        bindings = [structure.bind(site_factor_lists(g, s)) for g, s, _ in problems]
+        priors = [prior for _, _, prior in problems]
+        poisoned_shift = bindings[1][0][1].copy()
+        poisoned_shift[0] = np.nan
+        bindings[1] = ((bindings[1][0][0], poisoned_shift),) + bindings[1][1:]
+
+        together = kernel.run(bindings, priors)
+        assert int(together.iterations[1]) == 5 and not bool(together.converged[1])
+        poisoned_alone = kernel.run([bindings[1]], [priors[1]])
+        assert int(poisoned_alone.iterations[0]) == 5
+        assert not bool(poisoned_alone.converged[0])
+        for b in (0, 2):
+            alone = kernel.run([bindings[b]], [priors[b]])
+            assert np.array_equal(alone.means[0], together.means[b])
+            assert np.array_equal(alone.variances[0], together.variances[b])
+            assert alone.iterations[0] == together.iterations[b] == 2
+            assert alone.converged[0] and together.converged[b]
+            assert alone.max_delta[0] == together.max_delta[b] == 0.0
+            graph, sites, prior = problems[b]
+            reference = ExpectationPropagation(
+                graph, sites, prior, damping=1.0, max_iterations=5
+            ).run()
+            _assert_posteriors_match(reference, alone)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan")])
+    def test_non_positive_tolerance_rejected(self, tolerance):
+        graph, sites, prior = _bench_graph()
+        structure = compile_factor_graph(graph, sites, prior.variables)
+        with pytest.raises(ValueError, match="tolerance"):
+            CompiledEPKernel(structure, tolerance=tolerance)
+
+
+def _dense_constraint_bind(binder, scales):
+    """Reference twin of ConstraintSiteBinder.bind: one dense outer product
+    per relation, accumulated element-wise in relation order."""
+    scaled = np.ascontiguousarray(binder.coefficients[None, :, :] * scales[:, None, :])
+    magnitude = np.abs(scaled).sum(axis=-1)
+    sigma = np.maximum(binder.tolerances[None, :] * magnitude, 1e-9)
+    rows = scaled / sigma[..., None]
+    precision = np.zeros((scaled.shape[0], binder.width, binder.width))
+    for relation in range(rows.shape[1]):
+        row = rows[:, relation, :]
+        precision += row[:, :, None] * row[:, None, :]
+    return precision, np.zeros((scaled.shape[0], binder.width))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _constraint_binder_case(draw):
+    width = draw(st.integers(min_value=1, max_value=7))
+    coefficient = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).filter(lambda v: v != 0.0),
+    )
+    rows = [
+        [draw(coefficient) for _ in range(width)]
+        for _ in range(draw(st.integers(min_value=0, max_value=5)))
+    ]
+    single = [0.0] * width
+    single[draw(st.integers(min_value=0, max_value=width - 1))] = draw(
+        st.sampled_from([-1.5, 1.0, 2.0])
+    )
+    for row in (single, [0.0] * width):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    tolerances = [draw(st.floats(min_value=1e-3, max_value=0.5)) for _ in rows]
+    batch = draw(st.integers(min_value=1, max_value=4))
+    scale = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    scales = np.array([[draw(scale) for _ in range(width)] for _ in range(batch)])
+    return np.array(rows), np.array(tolerances), scales
+
+
+class TestConstraintBinderScatterPlan:
+    @given(case=_constraint_binder_case())
+    @settings(max_examples=60, deadline=None)
+    def test_support_scatter_equals_dense_accumulation_bit_for_bit(self, case):
+        coefficients, tolerances, scales = case
+        binder = ConstraintSiteBinder(
+            site=0, coefficients=coefficients, tolerances=tolerances,
+            width=coefficients.shape[1],
+        )
+        want_precision, want_shift = _dense_constraint_bind(binder, scales)
+        precision, shift = binder.bind(scales)
+        assert _same_bits(precision, want_precision)
+        assert _same_bits(shift, want_shift)
+        for b in range(scales.shape[0]):
+            alone, _ = binder.bind(scales[b : b + 1])
+            dense_alone, _ = _dense_constraint_bind(binder, scales[b : b + 1])
+            assert _same_bits(alone[0], precision[b])
+            assert _same_bits(dense_alone[0], want_precision[b])
+
+    def test_engine_shares_constraint_binders_across_signatures(self):
+        catalog = catalog_for("x86")
+        engine = BayesPerfEngine(catalog, standard_profiling_events(catalog, n_events=16))
+        events = engine.monitored_events
+        _, first = engine._compiled_kernel(events[:3])
+        _, second = engine._compiled_kernel(events[2:9])
+        assert first.constraints
+        assert all(a is b for a, b in zip(first.constraints, second.constraints))
+
+
+class TestTriangularReadOut:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_read_out_matches_solve_and_is_batch_invariant(self, seed):
+        rng = np.random.default_rng(seed)
+        batch, n = 3, int(rng.integers(1, 9))
+        factor = rng.normal(size=(batch, n, n))
+        precision = factor @ np.swapaxes(factor, -1, -2) + n * np.eye(n)
+        shift = rng.normal(size=(batch, n))
+        means, variances = cholesky_mean_and_variance(precision, shift)
+        for b in range(batch):
+            np.testing.assert_allclose(
+                means[b], np.linalg.solve(precision[b], shift[b]), rtol=1e-10, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                variances[b], np.diag(np.linalg.inv(precision[b])), rtol=1e-10
+            )
+            alone_mean, alone_var = cholesky_mean_and_variance(precision[b], shift[b])
+            assert _same_bits(alone_mean, means[b]) and _same_bits(alone_var, variances[b])
